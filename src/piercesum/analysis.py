@@ -20,8 +20,14 @@ import numpy as np
 from .certify import exp_enclosure, iroot, log_enclosure, pow_enclosure
 from .core import DepthOverflowError, DomainError, Rat, as_rational
 from .errorsum import cylinder_extrema, estar_digits, esum, oscillation
-from .intervals import FundInterval, fundamental_interval, partition
-from .sequences import Enclosure
+from .intervals import (
+    FundInterval,
+    fundamental_interval,
+    interval_length,
+    partition,
+    residual_mass,
+)
+from .sequences import Enclosure, enumerate_prefixes, walk_prefixes
 
 
 class ResourceLimitError(RuntimeError):
@@ -186,9 +192,15 @@ def _qualifying_children(prefix, prod, value, y):
     [E - n/(Pk), E - n/(Pk) + (n+1)/(Pk(k+1))], mirrored for even order.
     Bracketing y therefore needs k <= n/(P delta) together with the
     quadratic (P delta)k^2 + (P delta - n)k + 1 >= 0, which holds outside
-    its root interval.  The low branch never reaches past the first few
-    children and the high branch starts near n/(P delta), so only a
+    its root interval.  The high branch starts near n/(P delta), so only a
     handful of candidates exist; each is re-verified exactly.
+
+    The low branch (k at most the smaller root) lies inside the window
+    first .. first + 8.  With x = P delta <= n (else k_hi < 1), the smaller
+    root is 2/((n - x) + sqrt(disc)), disc = (n - x)^2 - 4x.  Both terms of
+    the denominator fall as x grows, so the root grows until disc = 0, at
+    x = (sqrt(n+1) - 1)^2, where it equals 1/(sqrt(n+1) - 1) <= 1 + sqrt(2)
+    < 3.  So the low branch holds at most k = 1, 2, all below first + 8.
     """
     n = len(prefix)
     delta = (value - y) if n % 2 == 1 else (y - value)
@@ -250,10 +262,7 @@ def ivt_root(a, b, y, width_tol, max_depth: int = 64) -> RootBracket:
             return RootBracket(iv, ext.minimum, ext.maximum, y)
         if depth >= max_depth:
             return None
-        prod = 1
-        for d in prefix:
-            prod *= d
-        children = _qualifying_children(prefix, prod, estar_digits(prefix), y)
+        children = _qualifying_children(prefix, math.prod(prefix), estar_digits(prefix), y)
         ordered = sorted(
             ((fundamental_interval(c), c) for c in children), key=lambda pair: pair[0].left
         )
@@ -342,20 +351,11 @@ def hausdorff_cover_sum(n: int, s, digit_cap: int, scale: int = 10**18) -> Cover
         return lo, hi
 
     lo_total = hi_total = 0
-    residual = Fraction(0)
-
-    def rec(prefix, last, prod):
-        nonlocal lo_total, hi_total, residual
-        residual += Fraction(1, prod * (digit_cap + 1))
-        for d in range(last + 1, digit_cap + 1):
-            if len(prefix) + 1 == n:
-                lo, hi = term_bounds(Fraction(1, prod * d * (d + 1)))
-                lo_total += lo
-                hi_total += hi
-            else:
-                rec(prefix + (d,), d, prod * d)
-
-    rec((), 0, 1)
+    for prefix in enumerate_prefixes(n, max_digit=digit_cap):
+        lo, hi = term_bounds(interval_length(prefix))
+        lo_total += lo
+        hi_total += hi
+    residual = residual_mass(n, digit_cap)
 
     # every omitted interval has some digit > cap, so its length is at most
     longest_omitted = Fraction(1, math.factorial(n - 1) * (digit_cap + 1) * (digit_cap + 2))
@@ -486,30 +486,25 @@ def box_count_empirical(epsilon, sample_depth: "int | None" = None) -> int:
     epsilon = as_rational(epsilon)
     P, depth_cap = calibrate_product_bound(epsilon)
     if sample_depth is not None:
+        if sample_depth < 1:
+            raise DomainError("sample depth must be >= 1")
         depth_cap = min(depth_cap, sample_depth)
     en, ed = epsilon.numerator, epsilon.denominator
+
+    def last_child(k, last, prod):
+        return P // prod if k < depth_cap else 0
+
+    # the y coordinate is -E*, not E*: the pinned counts are those of the
+    # reflected graph
     cells = set()
-
-    def rec(last, prod, value_num, err_num, k):
-        # value = value_num/prod, error sum = err_num/prod, k digits chosen
-        cells.add(((value_num * ed) // (prod * en), (err_num * ed) // (prod * en)))
-        if k >= depth_cap:
-            return
-        d = last + 1
-        while prod * d <= P:
-            rec(
-                d,
-                prod * d,
-                value_num * d + (1 if k % 2 == 0 else -1),
-                err_num * d + (k if k % 2 else -k),
-                k + 1,
-            )
-            d += 1
-
-    d = 1
-    while d <= P:
-        rec(d, d, 1, 0, 1)
-        d += 1
+    for prefix, prod, value_num, err_num, hi in walk_prefixes(last_child):
+        k = len(prefix)
+        step = -1 if k % 2 else 1
+        pe = prod * en
+        cells |= {
+            (((value_num * d + step) * ed) // (pe * d), ((-err_num * d - step * k) * ed) // (pe * d))
+            for d in range(prefix[-1] + 1 if prefix else 1, hi + 1)
+        }
     return len(cells)
 
 
@@ -584,22 +579,7 @@ def count_bounded_products(
         raise ResourceLimitError(f"p*m = {p * m} exceeds budget {budget}")
 
     if increasing:
-        def count_inc(last, remaining, cap):
-            if remaining == 0:
-                return 1
-            total = 0
-            d = last + 1
-            while d ** remaining <= cap:  # cheapest completion uses d, d+1, ...
-                lowest = 1
-                for step in range(remaining):
-                    lowest *= d + step
-                if lowest > cap:
-                    break
-                total += count_inc(d, remaining - 1, cap // d)
-                d += 1
-            return total
-
-        count = count_inc(0, m, p)
+        count = sum(1 for _ in enumerate_prefixes(m, max_product=p))
     else:
         cache: dict[tuple[int, int], int] = {}
 

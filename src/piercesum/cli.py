@@ -283,10 +283,6 @@ def build_parser() -> _Parser:
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")
     common.add_argument("--out", metavar="PATH", default=None)
     common.add_argument("--no-timestamp", action="store_true")
-    common.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for parallel commands (default: all cores)",
-    )
 
     parser = _Parser(prog="piercesum", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -311,6 +307,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("integral", parents=[common], help="Riemann sum of the error sum")
     p.add_argument("--grid", type=int, required=True)
+    p.add_argument(
+        "--workers", type=int, default=None, help="worker processes (default: all cores)"
+    )
     p.add_argument("--tolerance", default=None, help="exit 2 if |deviation| exceeds this p/q")
     p.set_defaults(run=_cmd_integral)
 

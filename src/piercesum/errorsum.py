@@ -8,6 +8,7 @@ alternating series for streams.  E is E* composed with the digit map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,10 +84,7 @@ def estar_by_definition(seq, depth: int = DEFAULT_DEPTH) -> Enclosure:
         lo += value_lo - partial
         hi += value_hi - partial
     # remaining terms: sum_{n>depth} |value - partial_n| <= geometric-ish tail
-    prod = 1
-    for d in digits[: depth + 2]:
-        prod *= d
-    tail = Fraction(depth + 3, prod * (depth + 2))
+    tail = Fraction(depth + 3, math.prod(digits[: depth + 2]) * (depth + 2))
     return Enclosure(lo - tail, hi + tail)
 
 
@@ -157,10 +155,7 @@ def jumps_at(x) -> JumpReport:
         raise DomainError("jump analysis is defined on rationals strictly inside (0, 1)")
     digits = expand(x)
     n = len(digits)
-    prod = 1
-    for d in digits[:-1]:
-        prod *= d
-    magnitude = Fraction(1, prod * (digits[-1] - 1) * digits[-1])
+    magnitude = Fraction(1, math.prod(digits[:-1]) * (digits[-1] - 1) * digits[-1])
     interior = estar_digits(digits)
     if n % 2 == 1:
         side, limit = "right", interior - magnitude
@@ -237,9 +232,6 @@ def recursion_check(x, n: int) -> bool:
     for k in range(1, n + 1):
         rhs += x - evaluate_digits(digits[:k])
     if n <= len(digits):
-        prod = 1
-        for d in digits[:n]:
-            prod *= d
         tail_value = estar_digits(expand(shift_power(x, n)))
-        rhs += Fraction((-1) ** n, prod) * tail_value
+        rhs += Fraction((-1) ** n, math.prod(digits[:n])) * tail_value
     return lhs == rhs

@@ -8,11 +8,12 @@ silent, so they are computed once here and carried explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DomainError, Rat, as_rational, evaluate_digits, expand
-from .sequences import _check_prefix, is_realizable
+from .sequences import _check_prefix, enumerate_prefixes, is_realizable
 
 
 @dataclass(frozen=True)
@@ -70,20 +71,16 @@ def interval_length(prefix) -> Rat:
     prefix = _check_prefix(prefix)
     if not prefix:
         raise DomainError("fundamental intervals need a non-empty prefix")
-    prod = 1
-    for d in prefix:
-        prod *= d
-    return Fraction(1, prod * (prefix[-1] + 1))
+    return Fraction(1, math.prod(prefix) * (prefix[-1] + 1))
 
 
 @dataclass(frozen=True)
 class Partition:
     """All order-n intervals with digits <= cap, plus the mass left out.
 
-    The residual is accumulated from the closed form of the pruned tails
-    (the lengths past any digit telescope to 1/(cap+1) over the running
-    product), so enumerated mass + residual = 1 is an exact two-route
-    identity, not a definition.
+    The residual comes from the closed form of the pruned tails (see
+    ``residual_mass``), not from 1 minus the enumerated mass, so enumerated
+    mass + residual = 1 is an exact two-route identity, not a definition.
     """
 
     order: int
@@ -97,6 +94,22 @@ class Partition:
         return sum((iv.length for iv in self.intervals), Fraction(0))
 
 
+def residual_mass(n: int, digit_cap: int) -> Rat:
+    """Total length of the order-n intervals with some digit above digit_cap.
+
+    Below a prefix with digit product P, the intervals whose next digit
+    exceeds the cap have total length 1/(P (cap+1)), since the lengths
+    1/(P k (k+1)) telescope.  Summing over the prefixes of 0..n-1 digits
+    <= cap gives sum_{j<n} e_j(1, 1/2, ..., 1/cap) / (cap+1), with e_j the
+    elementary symmetric sums, computed exactly in O(n cap) steps.
+    """
+    e = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for d in range(1, digit_cap + 1):
+        for j in range(n - 1, 0, -1):
+            e[j] += e[j - 1] / d
+    return sum(e) / (digit_cap + 1)
+
+
 def partition(n: int, digit_cap: int, min_coverage=None) -> Partition:
     """Order-n fundamental intervals with all digits <= digit_cap.
 
@@ -108,31 +121,12 @@ def partition(n: int, digit_cap: int, min_coverage=None) -> Partition:
         raise DomainError("partition order must be >= 1")
     if digit_cap < 1:
         raise DomainError("digit cap must be >= 1")
-    intervals = []
-    residual = Fraction(0)
-
-    def rec(prefix, last, prod):
-        nonlocal residual
-        # mass of the pruned branch (next digit > cap) telescopes exactly
-        residual += Fraction(1, prod * (digit_cap + 1))
-        for d in range(last + 1, digit_cap + 1):
-            chosen = prefix + (d,)
-            if len(chosen) == n:
-                intervals.append(fundamental_interval(chosen))
-            else:
-                rec(chosen, d, prod * d)
-
-    rec((), 0, 1)
-    part = Partition(n, digit_cap, tuple(intervals), residual)
+    intervals = tuple(fundamental_interval(p) for p in enumerate_prefixes(n, max_digit=digit_cap))
+    residual = residual_mass(n, digit_cap)
+    warning = None
     if min_coverage is not None and 1 - residual < as_rational(min_coverage):
-        part = Partition(
-            n,
-            digit_cap,
-            part.intervals,
-            residual,
-            warning=f"digit cap {digit_cap} covers only {1 - residual} < {min_coverage} of [0,1]",
-        )
-    return part
+        warning = f"digit cap {digit_cap} covers only {1 - residual} < {min_coverage} of [0,1]"
+    return Partition(n, digit_cap, intervals, residual, warning)
 
 
 def locate(x, n: int) -> tuple[int, ...]:

@@ -339,6 +339,39 @@ def rho_seq(sigma, tau, depth: int = DEFAULT_DEPTH) -> Enclosure:
     return Enclosure(total, total + Fraction(4, fact * (horizon + 1)))
 
 
+def walk_prefixes(last_child) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
+    """Every strictly increasing prefix that has a child, with its child range.
+
+    Yields ``(prefix, prod, value_num, err_num, hi)`` in lexicographic
+    preorder, starting at the empty prefix: the digit product, phi and E* of
+    the prefix as numerators over that product, and the largest child
+    digit, so the children are prefix[-1]+1 .. hi.  ``last_child(k, last,
+    prod)`` gives hi for a k-digit prefix ending in ``last`` with digit
+    product ``prod``; hi <= last means no child.  Children that have a child
+    must form a leading run of each range, since pushing stops at the first
+    child without one.  The stack is explicit, so depth is not limited by
+    the recursion limit.
+    """
+    root = ((), 1, 0, 0, last_child(0, 0, 1))
+    stack = [root] if root[-1] > 0 else []
+    while stack:
+        node = stack.pop()
+        yield node
+        prefix, prod, value_num, err_num, hi = node
+        last = prefix[-1] if prefix else 0
+        k = len(prefix)
+        step = -1 if k % 2 else 1  # sign of the term the next digit adds
+        children = []
+        for d in range(last + 1, hi + 1):
+            child_hi = last_child(k + 1, d, prod * d)
+            if child_hi <= d:
+                break
+            children.append(
+                (prefix + (d,), prod * d, value_num * d + step, err_num * d + step * k, child_hi)
+            )
+        stack.extend(reversed(children))
+
+
 def enumerate_prefixes(
     n: int,
     max_product: "int | None" = None,
@@ -355,26 +388,23 @@ def enumerate_prefixes(
     if max_product is None and max_digit is None:
         raise DomainError("need max_product or max_digit to keep the enumeration finite")
 
-    def rec(chosen, last, prod):
-        level = len(chosen)
-        if level == n:
-            yield tuple(chosen)
-            return
-        d = last + 1
-        while True:
-            if max_digit is not None and d > max_digit:
-                return
-            new_prod = prod * d
-            if max_product is not None:
-                # cheapest completion appends d+1, d+2, ...
-                rest = new_prod
-                for step in range(1, n - level):
-                    rest *= d + step
-                if rest > max_product:
-                    return
-            chosen.append(d)
-            yield from rec(chosen, d, new_prod)
-            chosen.pop()
+    def last_child(k, last, prod):
+        # d is kept while d <= max_digit and the cheapest completion
+        # d (d+1) ... (d+n-k-1) keeps the product within max_product
+        if k >= n:
+            return 0
+        if max_product is None:
+            return max_digit
+        if k == n - 1:
+            hi = max_product // prod
+            return hi if max_digit is None else min(hi, max_digit)
+        d = last
+        while (max_digit is None or d < max_digit) and (
+            prod * math.prod(range(d + 1, d + 1 + n - k)) <= max_product
+        ):
             d += 1
+        return d
 
-    yield from rec([], 0, 1)
+    for prefix, _, _, _, hi in walk_prefixes(last_child):
+        if len(prefix) == n - 1:
+            yield from (prefix + (d,) for d in range(prefix[-1] + 1 if prefix else 1, hi + 1))

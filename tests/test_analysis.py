@@ -257,6 +257,11 @@ class TestBoxCounting:
         shallow = box_count_empirical(F(1, 32), sample_depth=1)
         assert shallow <= full
 
+    @pytest.mark.parametrize("depth", [0, -5])
+    def test_sample_depth_below_one_rejected(self, depth):
+        with pytest.raises(DomainError):
+            box_count_empirical(F(1, 32), sample_depth=depth)
+
     def test_sweep_requires_decreasing(self):
         with pytest.raises(DomainError):
             box_count_sweep([F(1, 4), F(1, 4)])

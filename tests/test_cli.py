@@ -141,6 +141,13 @@ class TestDimension:
         )
         assert code == 2 and payload["in_band"] is False
 
+    def test_sample_depth_below_one_rejected(self, capsys):
+        for depth in ("0", "-5"):
+            code, _, err = run(
+                capsys, "dimension", "--pow-min", "4", "--pow-max", "7", "--sample-depth", depth
+            )
+            assert code == 1 and "sample depth" in err
+
 
 class TestIvt:
     def test_bracket(self, capsys):
@@ -177,6 +184,12 @@ class TestPlumbing:
     def test_usage_error_exit_code(self, capsys):
         assert run(capsys, "expand")[0] == 1
         assert run(capsys, "nonsense")[0] == 1
+
+    def test_workers_only_on_integral(self, capsys):
+        code, _, err = run(capsys, "expand", "1/3", "--workers", "7")
+        assert code == 1 and "--workers" in err
+        code, payload, _ = run_json(capsys, "integral", "--grid", "8", "--workers", "1")
+        assert code == 0 and payload["workers"] == 1
 
     def test_deterministic_output(self, capsys):
         a = run(capsys, "graph", "--order", "2", "--digit-cap", "4",
