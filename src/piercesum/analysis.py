@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -23,7 +24,6 @@ from .errorsum import cylinder_extrema, estar_digits, esum, oscillation
 from .intervals import (
     FundInterval,
     fundamental_interval,
-    interval_length,
     partition,
     residual_mass,
 )
@@ -342,19 +342,24 @@ def hausdorff_cover_sum(n: int, s, digit_cap: int, scale: int = 10**18) -> Cover
     p, q = s.numerator, s.denominator
     diam_sq = n * n + 1  # diameter^2 = (n^2+1) * length^2
 
-    def term_bounds(length: Rat) -> tuple[int, int]:
-        # ((n^2+1)^p * length^(2p)) ^ (1/(2q)), scaled
-        base = Fraction(diam_sq) ** p * length ** (2 * p)
-        shifted = base.numerator * scale ** (2 * q) // base.denominator
-        lo = iroot(shifted, 2 * q)
-        hi = iroot(shifted + 1, 2 * q) + 1
-        return lo, hi
+    # an order-n prefix ending in d has length exactly 1/L, L = prod * d(d+1)
+    # with prod the product of its first n-1 digits, so terms depend on L only
+    def last_child(k, last, prod):
+        return digit_cap if k < n else 0
 
+    multiplicity = Counter()
+    for prefix, prod, _, _, hi in walk_prefixes(last_child):
+        if len(prefix) == n - 1:
+            first = prefix[-1] + 1 if prefix else 1
+            multiplicity.update(prod * d * (d + 1) for d in range(first, hi + 1))
+
+    # each term is ((n^2+1)^p / L^(2p)) ^ (1/(2q)), scaled, bracketed by roots
+    numerator = diam_sq**p * scale ** (2 * q)
     lo_total = hi_total = 0
-    for prefix in enumerate_prefixes(n, max_digit=digit_cap):
-        lo, hi = term_bounds(interval_length(prefix))
-        lo_total += lo
-        hi_total += hi
+    for L, mult in multiplicity.items():
+        shifted = numerator // L ** (2 * p)
+        lo_total += mult * iroot(shifted, 2 * q)
+        hi_total += mult * (iroot(shifted + 1, 2 * q) + 1)
     residual = residual_mass(n, digit_cap)
 
     # every omitted interval has some digit > cap, so its length is at most
@@ -476,12 +481,30 @@ def calibrate_product_bound(epsilon) -> tuple[int, int]:
         P = m * inv
 
 
-def box_count_empirical(epsilon, sample_depth: "int | None" = None) -> int:
-    """Occupied eps-grid squares over graph samples of finite sequences.
+def _run_end(a: int, b: int, c: int, i: int, hi: int) -> int:
+    """Last d <= hi up to which the cell index floor((a d + b)/(c d)) stays i.
 
-    Samples every (value, error sum) pair for finite sequences with digit
-    product below the calibrated cap, so that unsampled graph points sit
-    within one grid cell of a sample.  Deterministic for fixed inputs.
+    For c > 0 the index tends monotonically to a/c: it falls with d when
+    b > 0 and rises when b < 0.  Given that it is i at some d, it stays i up
+    to b // (i c - a) when b > 0, and up to (-b - 1) // (a - (i+1) c) when
+    b < 0; it never changes when that divisor is not positive or b = 0.
+    """
+    if b > 0 and i * c > a:
+        return min(hi, b // (i * c - a))
+    if b < 0 and a > (i + 1) * c:
+        return min(hi, (-b - 1) // (a - (i + 1) * c))
+    return hi
+
+
+def box_count_empirical(epsilon, sample_depth: "int | None" = None) -> int:
+    """Occupied eps-grid squares over samples of the reflected graph.
+
+    Samples (value, -error sum) for every finite sequence with digit
+    product below the calibrated cap, so that unsampled points sit within
+    one grid cell of a sample.  The set counted is {(x, -E(x))}, the graph
+    reflected in the x-axis: an isometric copy with the same box-counting
+    dimension, though its counts differ slightly from those of the graph
+    itself.  Deterministic for fixed inputs.
     """
     epsilon = as_rational(epsilon)
     P, depth_cap = calibrate_product_bound(epsilon)
@@ -494,17 +517,20 @@ def box_count_empirical(epsilon, sample_depth: "int | None" = None) -> int:
     def last_child(k, last, prod):
         return P // prod if k < depth_cap else 0
 
-    # the y coordinate is -E*, not E*: the pinned counts are those of the
-    # reflected graph
     cells = set()
     for prefix, prod, value_num, err_num, hi in walk_prefixes(last_child):
+        # child d has cell ((ax d + bx) // (c d), (ay d + by) // (c d)); both
+        # indices are monotone in d, so each run of equal cells is one step
         k = len(prefix)
         step = -1 if k % 2 else 1
-        pe = prod * en
-        cells |= {
-            (((value_num * d + step) * ed) // (pe * d), ((-err_num * d - step * k) * ed) // (pe * d))
-            for d in range(prefix[-1] + 1 if prefix else 1, hi + 1)
-        }
+        c = prod * en
+        ax, bx = value_num * ed, step * ed
+        ay, by = -err_num * ed, -step * k * ed
+        d = prefix[-1] + 1 if prefix else 1
+        while d <= hi:
+            ix, iy = (ax * d + bx) // (c * d), (ay * d + by) // (c * d)
+            cells.add((ix, iy))
+            d = min(_run_end(ax, bx, c, ix, hi), _run_end(ay, by, c, iy, hi)) + 1
     return len(cells)
 
 

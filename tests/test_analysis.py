@@ -244,8 +244,8 @@ class TestBoxCounting:
         assert depth * 64 <= P
 
     def test_coarse_scale_count(self):
-        # by hand: products <= 4 give points (1,0),(1/2,0),(1/3,0),(1/4,0),
-        # (1/2,-1/2),(2/3,-1/6),(3/4,-1/12) in cells (2,0),(1,0),(0,0),(1,-1)
+        # by hand: products <= 4 give points (x, -E(x)) = (1,0),(1/2,0),(1/3,0),
+        # (1/4,0),(1/2,1/2),(2/3,1/3),(3/4,1/4) in cells (2,0),(1,0),(0,0),(1,1)
         assert box_count_empirical(F(1, 2)) == 4
 
     def test_refinement_monotonicity(self):

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from piercesum import (
+    CoverSum,
     box_count_empirical,
     calibrate_product_bound,
     cylinder_extrema,
@@ -18,8 +19,9 @@ from piercesum import (
     hausdorff_cover_sum,
     partition,
 )
-from piercesum.analysis import _qualifying_children
-from piercesum.intervals import residual_mass
+from piercesum.analysis import _qualifying_children, _run_end
+from piercesum.certify import iroot, pow_enclosure
+from piercesum.intervals import interval_length, residual_mass
 from piercesum.sequences import walk_prefixes
 
 
@@ -63,9 +65,76 @@ epsilons = st.integers(min_value=3, max_value=4096).flatmap(
 @given(epsilons, st.none() | st.integers(min_value=1, max_value=6))
 @example(F(1, 1024), None)
 @example(F(7, 6000), 3)
+# a 2001-bit denominator, as the eps of lambda_cover_counts(M) has thousands of bits
+@example(F(3**1262 // 100 + 1, 3**1262), None)
 @settings(max_examples=40, deadline=None)
 def test_box_count_matches_recursive_oracle(epsilon, sample_depth):
     assert box_count_empirical(epsilon, sample_depth) == box_count_oracle(epsilon, sample_depth)
+
+
+def cell_index(a, b, c, d):
+    return (a * d + b) // (c * d)
+
+
+# c of up to 4000 bits; a/c in [-3, 3] and b/c in [-80, 80] put the index
+# changes at small d, where a scan can reach them
+big_c = st.integers(min_value=1, max_value=4000).flatmap(
+    lambda bits: st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1)
+)
+ratios = st.fractions(min_value=-3, max_value=3, max_denominator=60)
+offsets = st.fractions(min_value=-80, max_value=80, max_denominator=60)
+nudges = st.integers(min_value=-3, max_value=3)
+
+
+@given(big_c, ratios, nudges, offsets, nudges, st.integers(min_value=1, max_value=8))
+@example(7, F(1, 3), 0, F(5), 0, 1)  # b > 0
+@example(7, F(1, 3), 0, F(-5), 0, 1)  # b < 0
+@example(7, F(1, 3), 0, F(0), 0, 1)  # b = 0
+@example(2**3000 + 1, F(-2), 1, F(-17), -1, 3)
+@settings(max_examples=300, deadline=None)
+def test_run_end_matches_a_brute_force_scan(c, ratio, da, offset, db, d0):
+    a = math.floor(c * ratio) + da
+    b = math.floor(c * offset) + db
+    hi = d0 + 400
+    i = cell_index(a, b, c, d0)
+    end = d0
+    while end < hi and cell_index(a, b, c, end + 1) == i:
+        end += 1
+    assert _run_end(a, b, c, i, hi) == end
+
+
+def cover_sum_oracle(n, s, digit_cap, scale):
+    """Cover sum with one exact length and one pair of root bounds per prefix."""
+    p, q = s.numerator, s.denominator
+    diam_sq = n * n + 1
+    lo_total = hi_total = 0
+    for prefix in combinations(range(1, digit_cap + 1), n):
+        base = F(diam_sq) ** p * interval_length(prefix) ** (2 * p)
+        shifted = base.numerator * scale ** (2 * q) // base.denominator
+        lo_total += iroot(shifted, 2 * q)
+        hi_total += iroot(shifted + 1, 2 * q) + 1
+    residual = residual_mass(n, digit_cap)
+    longest_omitted = F(1, math.factorial(n - 1) * (digit_cap + 1) * (digit_cap + 2))
+    tail = (
+        pow_enclosure(F(diam_sq), s / 2, scale).hi
+        * pow_enclosure(longest_omitted, s - 1, scale).hi
+        * residual
+    )
+    return CoverSum(n, s, digit_cap, F(lo_total, scale), F(hi_total, scale), tail, residual)
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=n, max_value=14))
+    ),
+    st.sampled_from([F(1), F(3, 2), F(5, 3), F(2), F(7, 3)]),
+    st.sampled_from([10**6, 10**18]),
+)
+@example((5, 14), F(7, 3), 10**18)
+@settings(max_examples=60, deadline=None)
+def test_cover_sum_matches_the_per_prefix_oracle(order_cap, s, scale):
+    n, cap = order_cap
+    assert hausdorff_cover_sum(n, s, cap, scale) == cover_sum_oracle(n, s, cap, scale)
 
 
 def test_box_count_oracle_counts_the_seed_pins():
