@@ -20,14 +20,9 @@ import numpy as np
 
 from .certify import exp_enclosure, iroot, log_enclosure, pow_enclosure
 from .core import DepthOverflowError, DomainError, Rat, as_rational
-from .errorsum import cylinder_extrema, estar_digits, esum, oscillation
-from .intervals import (
-    FundInterval,
-    fundamental_interval,
-    partition,
-    residual_mass,
-)
-from .sequences import Enclosure, enumerate_prefixes, walk_prefixes
+from .errorsum import cylinder_extrema, estar_digits, esum
+from .intervals import FundInterval, fundamental_interval, residual_mass
+from .sequences import Enclosure, capped_child_ranges, enumerate_prefixes, walk_prefixes
 
 
 class ResourceLimitError(RuntimeError):
@@ -150,17 +145,26 @@ def variation_over_partition(n: int, digit_cap: "int | None" = None) -> Variatio
 
     Uncapped, the answer is exactly n: every level of the partition carries
     unit total length, so a candidate variation bound V is already exceeded
-    at order ceil(V) + 1.  With a digit cap the enumerated part and the
-    closed-form residual are returned separately; they recombine to n
-    exactly, which is asserted as a two-route consistency check.
+    at order ceil(V) + 1.  With a digit cap the enumerated part, summed in
+    closed form per child run of the prefix walk, and the closed-form
+    residual are returned separately; they recombine to n exactly, which is
+    asserted as a two-route consistency check.
     """
     if n < 1:
         raise DomainError("partition order must be >= 1")
     if digit_cap is None:
         return VariationReport(n, None, n * subtree_interval_mass(0), Fraction(0))
-    part = partition(n, digit_cap)
-    capped = sum((oscillation(iv.sigma) for iv in part.intervals), Fraction(0))
-    report = VariationReport(n, digit_cap, capped, part.residual)
+    if digit_cap < 1:
+        raise DomainError("digit cap must be >= 1")
+    # the lengths 1/(prod d (d+1)) of a child run first..hi telescope
+    covered = sum(
+        (
+            Fraction(hi + 1 - first, prod * first * (hi + 1))
+            for _, prod, _, _, first, hi in capped_child_ranges(n, digit_cap)
+        ),
+        Fraction(0),
+    )
+    report = VariationReport(n, digit_cap, n * covered, residual_mass(n, digit_cap))
     if report.total != n:
         raise AssertionError(f"partition mass identity failed at order {n}, cap {digit_cap}")
     return report
@@ -344,14 +348,9 @@ def hausdorff_cover_sum(n: int, s, digit_cap: int, scale: int = 10**18) -> Cover
 
     # an order-n prefix ending in d has length exactly 1/L, L = prod * d(d+1)
     # with prod the product of its first n-1 digits, so terms depend on L only
-    def last_child(k, last, prod):
-        return digit_cap if k < n else 0
-
     multiplicity = Counter()
-    for prefix, prod, _, _, hi in walk_prefixes(last_child):
-        if len(prefix) == n - 1:
-            first = prefix[-1] + 1 if prefix else 1
-            multiplicity.update(prod * d * (d + 1) for d in range(first, hi + 1))
+    for _, prod, _, _, first, hi in capped_child_ranges(n, digit_cap):
+        multiplicity.update(prod * d * (d + 1) for d in range(first, hi + 1))
 
     # each term is ((n^2+1)^p / L^(2p)) ^ (1/(2q)), scaled, bracketed by roots
     numerator = diam_sq**p * scale ** (2 * q)

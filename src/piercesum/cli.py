@@ -3,7 +3,8 @@
 All rational inputs use exact "p/q" literals; decimals are rejected so no
 value is silently rounded on the way in.  Output is a table, JSON, or CSV
 rendering of one structured payload, byte-identical across runs once the
-timestamp is disabled.
+timestamp is disabled.  JSON and CSV write the payload's rows as they are
+made; a table holds them all to size its columns.
 
 Exit codes: 0 success, 1 usage or domain error, 2 acceptance-band failure,
 3 resource or depth cap exceeded.
@@ -13,15 +14,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import chain, islice
+from math import gcd
 
-from . import analysis, errorsum, intervals, sequences
+from . import analysis, errorsum, sequences
 from .core import DepthOverflowError, DomainError, as_rational, constant_stream, expand
-from .sequences import DEFAULT_DEPTH, Enclosure, PierceSeq, enumerate_prefixes
+from .sequences import DEFAULT_DEPTH, Enclosure, PierceSeq, capped_child_ranges
 
 SCHEMA_VERSION = 1
 
@@ -63,7 +65,8 @@ def _parse_point(text: str):
 
 
 # ---------------------------------------------------------------------------
-# commands -> payload dicts (scalars plus an optional "rows" list)
+# commands -> payload dicts: scalars plus optional "rows", an iterable of
+# flat dicts whose values are already rendered by _fmt or _ratio
 # ---------------------------------------------------------------------------
 
 
@@ -74,7 +77,7 @@ def _cmd_expand(args):
     for k in range(1, len(digits) + 1):
         s_k = sequences.phi_partial(PierceSeq(digits), k)
         rows.append(
-            {"k": k, "digit": digits[k - 1], "convergent": s_k, "residual": x - s_k}
+            _fmt({"k": k, "digit": digits[k - 1], "convergent": s_k, "residual": x - s_k})
         )
     return {"x": x, "length": len(digits), "digits": list(digits), "rows": rows}, EXIT_OK
 
@@ -101,23 +104,40 @@ def _cmd_jumps(args):
     }, EXIT_OK
 
 
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms, den > 0, rendered as _fmt renders a Fraction."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
+def _graph_rows(order_max: int, digit_cap: int):
+    # child d of an order n-1 prefix with numerators (prod, v, e) over prod
+    # has phi = (v d + step)/(prod d), E* = (e d + step k)/(prod d) and
+    # length 1/(prod d (d+1)), so no row needs a Fraction
+    for order in range(1, order_max + 1):
+        for prefix, prod, v, e, first, hi in capped_child_ranges(order, digit_cap):
+            k = len(prefix)
+            step = -1 if k % 2 else 1
+            head = "(" + "".join(f"{x}," for x in prefix)
+            for d in range(first, hi + 1):
+                den = prod * d
+                yield {
+                    "sigma": f"{head}{d})",
+                    "order": order,
+                    "phi": _ratio(v * d + step, den),
+                    "estar": _ratio(e * d + step * k, den),
+                    "length": f"1/{den * (d + 1)}",
+                }
+
+
 def _cmd_graph(args):
+    # validate here, not in the lazy row generator, so that a bad argument
+    # fails before any output is opened
     if args.order < 1:
         raise DomainError("order must be >= 1")
     if args.digit_cap < 1:
         raise DomainError("digit cap must be >= 1")
-    rows = []
-    for order in range(1, args.order + 1):
-        for prefix in enumerate_prefixes(order, max_digit=args.digit_cap):
-            rows.append(
-                {
-                    "sigma": "(" + ",".join(map(str, prefix)) + ")",
-                    "order": order,
-                    "phi": sequences.phi(PierceSeq(prefix)).lo,
-                    "estar": errorsum.estar_digits(prefix),
-                    "length": intervals.interval_length(prefix),
-                }
-            )
+    rows = _graph_rows(args.order, args.digit_cap)
     return {"order_max": args.order, "digit_cap": args.digit_cap, "rows": rows}, EXIT_OK
 
 
@@ -170,7 +190,7 @@ def _cmd_dimension(args):
     except ValueError:
         raise DomainError(f"cannot parse band {args.band!r}, expected lo:hi") from None
     payload = {
-        "rows": [{"epsilon": e, "count": c} for e, c in counts],
+        "rows": _fmt([{"epsilon": e, "count": c} for e, c in counts]),
         "slope": fit.slope,
         "intercept": fit.intercept,
         "band_low": lo,
@@ -216,34 +236,60 @@ def _cmd_counts(args):
 # ---------------------------------------------------------------------------
 
 
-def _render_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write_json(scalars, rows, out) -> None:
+    """Write the payload as indented JSON with sorted keys, rows streamed.
 
-
-def _render_csv(payload) -> str:
-    buf = io.StringIO()
-    rows = payload.get("rows")
-    scalars = {k: v for k, v in payload.items() if k != "rows"}
-    writer = csv.writer(buf, lineterminator="\n")
-    if scalars:
-        keys = sorted(scalars)
-        writer.writerow(keys)
-        writer.writerow([scalars[k] for k in keys])
-    if rows is not None:
-        keys = list(rows[0]) if rows else []
-        writer.writerow(keys)
-        for row in rows:
-            writer.writerow([row[k] for k in keys])
-    return buf.getvalue()
-
-
-def _render_table(payload) -> str:
-    lines = []
-    for key, value in payload.items():
-        if key == "rows":
+    Byte-identical to json.dumps(payload, indent=2, sort_keys=True) plus a
+    newline, where payload is ``scalars`` with "rows" added when ``rows`` is
+    not None.  Rows must be non-empty flat dicts of JSON scalars.  They go
+    through the C encoder in batches, with the indented layout spelled out
+    in its separators, since the indenting encoder is pure Python.
+    """
+    pad = "  "  # indent=2
+    item_sep = ",\n" + 3 * pad
+    encode = json.JSONEncoder(sort_keys=True, separators=(item_sep, ": ")).encode
+    row_open, row_close = f"{2 * pad}{{\n{3 * pad}", f"\n{2 * pad}}}"
+    keys = sorted([*scalars, "rows"] if rows is not None else scalars)
+    sep = "{\n"
+    for key in keys:
+        out.write(f"{sep}{pad}{json.dumps(key)}: ")
+        sep = ",\n"
+        if key != "rows":
+            text = json.dumps(scalars[key], indent=pad, sort_keys=True)
+            out.write(text.replace("\n", "\n" + pad))
             continue
-        lines.append(f"{key}: {value}")
-    rows = payload.get("rows")
+        rows = iter(rows)
+        batch_sep = "[\n"
+        for batch in iter(lambda: list(islice(rows, 512)), []):
+            # the encoder escapes newlines inside strings, so in a list of
+            # flat dicts "}" + item_sep + "{" occurs only between two rows
+            text = encode(batch)[2:-2].replace("}" + item_sep + "{", f"{row_close},\n{row_open}")
+            out.write(f"{batch_sep}{row_open}{text}{row_close}")
+            batch_sep = ",\n"
+        out.write("[]" if batch_sep == "[\n" else f"\n{pad}]")
+    out.write("\n}\n")
+
+
+def _write_csv(scalars, rows, out) -> None:
+    """Sorted scalars as a header and a value line, then the rows, streamed."""
+    writer = csv.writer(out, lineterminator="\n")
+    keys = sorted(scalars)
+    writer.writerow(keys)
+    writer.writerow([scalars[k] for k in keys])
+    if rows is not None:
+        rows = iter(rows)
+        first = next(rows, None)
+        keys = list(first) if first else []
+        writer.writerow(keys)
+        if first:
+            writer.writerows([row[k] for k in keys] for row in chain([first], rows))
+
+
+def _write_table(scalars, rows, out) -> None:
+    """Scalars as key: value lines, then the rows in aligned columns."""
+    lines = [f"{key}: {value}" for key, value in scalars.items()]
+    # the column widths depend on every row, so this format holds them all
+    rows = list(rows or ())
     if rows:
         keys = list(rows[0])
         table = [keys] + [[str(row[k]) for k in keys] for row in rows]
@@ -251,26 +297,24 @@ def _render_table(payload) -> str:
         lines.append("")
         for r in table:
             lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    out.write("\n".join(lines) + "\n")
+
+
+_WRITERS = {"json": _write_json, "csv": _write_csv, "table": _write_table}
 
 
 def _emit(payload, args) -> None:
-    payload = _fmt(payload)
+    rows = payload.pop("rows", None)
     meta = {"schema": SCHEMA_VERSION, "command": args.command}
     if not args.no_timestamp:
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
-    payload = {**meta, **payload}
-    if args.format == "json":
-        text = _render_json(payload)
-    elif args.format == "csv":
-        text = _render_csv(payload)
-    else:
-        text = _render_table(payload)
+    scalars = _fmt({**meta, **payload})
+    write = _WRITERS[args.format]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(scalars, rows, fh)
     else:
-        sys.stdout.write(text)
+        write(scalars, rows, sys.stdout)
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,23 @@ def walk_prefixes(last_child) -> Iterator[tuple[tuple[int, ...], int, int, int, 
         stack.extend(reversed(children))
 
 
+def capped_child_ranges(n: int, digit_cap: int):
+    """The order-n prefixes with all digits <= digit_cap, one run at a time.
+
+    Yields ``(prefix, prod, value_num, err_num, first, hi)`` for each order
+    n-1 prefix that has such a child, with the numerators of
+    ``walk_prefixes``; its children are prefix + (d,) for d = first .. hi,
+    so the runs come in lexicographic order of the order-n prefixes.
+    """
+
+    def last_child(k, last, prod):
+        return digit_cap if k < n else 0
+
+    for prefix, prod, value_num, err_num, hi in walk_prefixes(last_child):
+        if len(prefix) == n - 1:
+            yield prefix, prod, value_num, err_num, (prefix[-1] + 1 if prefix else 1), hi
+
+
 def enumerate_prefixes(
     n: int,
     max_product: "int | None" = None,

@@ -86,6 +86,11 @@ class TestVariation:
             rep = variation_over_partition(n, cap)
             assert rep.capped_sum + n * rep.residual_mass == n
 
+    def test_digit_cap_below_one_rejected(self):
+        for cap in (0, -3):
+            with pytest.raises(DomainError):
+                variation_over_partition(2, cap)
+
     def test_subtree_mass_closed_form_matches_enumeration(self):
         # sum over cap digits plus closed-form tail reproduces the telescoped value
         for last in (0, 1, 5):

@@ -126,6 +126,10 @@ class TestVariation:
         )
         assert payload["capped_sum"] == "3/4" and payload["total"] == "1/1"
 
+    def test_bad_cap(self, capsys):
+        code, out, err = run(capsys, "variation", "--order", "2", "--digit-cap", "0")
+        assert code == 1 and out == "" and "digit cap" in err
+
 
 class TestDimension:
     def test_small_sweep_in_band(self, capsys):

@@ -17,12 +17,14 @@ from piercesum import (
     estar_digits,
     evaluate_digits,
     hausdorff_cover_sum,
+    oscillation,
     partition,
+    variation_over_partition,
 )
 from piercesum.analysis import _qualifying_children, _run_end
 from piercesum.certify import iroot, pow_enclosure
 from piercesum.intervals import interval_length, residual_mass
-from piercesum.sequences import walk_prefixes
+from piercesum.sequences import capped_child_ranges, walk_prefixes
 
 
 def box_count_oracle(epsilon, sample_depth=None):
@@ -191,6 +193,30 @@ def test_residual_closed_form_matches_brute_force(n, cap):
         F(0),
     )
     assert residual_mass(n, cap) == brute
+
+
+def variation_oracle(n, cap):
+    """The capped oscillation sum, one fundamental interval at a time."""
+    return sum((oscillation(iv.sigma) for iv in partition(n, cap).intervals), F(0))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_variation_matches_the_partition_oracle(n):
+    for cap in range(1, 21):  # cap < n included: nothing is enumerated there
+        rep = variation_over_partition(n, cap)
+        assert rep.capped_sum == variation_oracle(n, cap)
+        assert rep.residual_mass == partition(n, cap).residual and rep.total == n
+
+
+@pytest.mark.parametrize("n,cap", [(1, 1), (1, 6), (2, 6), (3, 7), (4, 4), (4, 3)])
+def test_capped_child_ranges_cover_the_order_n_prefixes(n, cap):
+    got = []
+    for prefix, prod, value_num, err_num, first, hi in capped_child_ranges(n, cap):
+        assert len(prefix) == n - 1 and prod == math.prod(prefix)
+        assert F(value_num, prod) == evaluate_digits(prefix)
+        assert F(err_num, prod) == estar_digits(prefix)
+        got.extend(prefix + (d,) for d in range(first, hi + 1))
+    assert got == list(combinations(range(1, cap + 1), n))
 
 
 @pytest.mark.parametrize("n,cap", [(1, 10), (2, 8), (3, 9), (4, 8)])
