@@ -6,13 +6,12 @@ total-variation bound survives.  Between any two suitable points, a
 branch-and-bound over fundamental intervals pins a solution of E(x) = y.
 """
 
-import os
 from fractions import Fraction as F
 
 from piercesum import esum, integrate_esum, ivt_root, variation_over_partition
 
 for exponent in (10, 14, 18):
-    rep = integrate_esum(2**exponent, workers=os.cpu_count())
+    rep = integrate_esum(2**exponent)
     print(
         f"grid 2^{exponent:>2}: estimate {float(rep.estimate):+.9f}   "
         f"deviation from -1/8: {float(rep.deviation):+.2e}"

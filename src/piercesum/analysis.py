@@ -9,12 +9,9 @@ dimension estimation of the function's graph.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -37,34 +34,52 @@ class DegenerateFitError(ValueError):
 # Riemann integral of the error-sum function
 # ---------------------------------------------------------------------------
 
-#: Fixed-point scale for merging grid sums.  Summing ~10^6 exact values
-#: directly would blow up the common denominator, so each point value is
-#: floored to a multiple of 10^-40 first; the grid average then carries a
-#: quantization error below 10^-40, dozens of orders under any tolerance here.
+#: Fixed-point scale of the grid sum.  Summing ~10^6 exact values directly
+#: would blow up the common denominator, so each point value is floored to a
+#: multiple of 10^-40 first; the grid average then carries a quantization
+#: error below 10^-40, dozens of orders under any tolerance here.  The floors
+#: come from the shift recursion on the grid: with d = N // k, r = N mod k
+#: and H(k) = S*k + S*N*E(k/N), H(k) = S*k - H(r)/d; so floor(H(k)) =
+#: S*k - ceil(ceil(H(r))/d), ceil(H(k)) = S*k - floor(floor(H(r))/d), and
+#: floor(S*E(k/N)) = floor((floor(H(k)) - S*k)/N) exactly.
 INTEGRAL_SCALE = 10**40
 
 INTEGRAL_TARGET = Fraction(-1, 8)
 
+#: Largest grid integrate_esum accepts; its table grows as grid/64.
+INTEGRAL_MAX_GRID = 2**26
 
-def _esum_floor_scaled(p: int, q: int, scale: int) -> int:
-    # floor(E(p/q) * scale) for p/q in lowest terms, pure integer arithmetic
-    if p == 0:
-        return 0
-    num, den, k, r = 0, 1, 0, p
-    while r:
-        d, r = divmod(q, r)
-        k += 1
-        num = num * d + (k - 1 if k % 2 else -(k - 1))
-        den *= d
-    return (num * scale) // den
+#: Points k above grid // (_DEEP_QUOTIENT + 1) have first digit grid // k at
+#: most this; they are reached from their shift r = grid mod k, not stored.
+_DEEP_QUOTIENT = 63
 
 
-def _grid_chunk(args: tuple[int, int, int, int]) -> int:
-    start, stop, grid, scale = args
+def _grid_total(n: int) -> int:
+    """Sum of floor(INTEGRAL_SCALE * E(k/n)) over k = 0 .. n-1."""
+    scale, stored = INTEGRAL_SCALE, n // (_DEEP_QUOTIENT + 1)
+    # floor(H(k)) and ceil(H(k)) - floor(H(k)) for k <= stored; H(0) = 0
+    lo, inexact = [0] * (stored + 1), bytearray(stored + 1)
     total = 0
-    for k in range(start, stop):
-        g = gcd(k, grid)
-        total += _esum_floor_scaled(k // g, grid // g, scale)
+    for k in range(1, stored + 1):
+        d, r = divmod(n, k)
+        c = -((-lo[r] - inexact[r]) // d)
+        lo[k], inexact[k] = scale * k - c, c - lo[r] // d
+        total += -c // n
+    # each k > stored is (n - r)/d, r = n mod k < k, d <= _DEEP_QUOTIENT: walk
+    # depth first from each stored point, trying only d that keep k > r, stored
+    stack = []
+    for root in range(stored + 1):
+        stack.append((root, lo[root], lo[root] + inexact[root]))
+        while stack:
+            r, lo_r, hi_r = stack.pop()
+            rest, bound = n - r, max(r, stored)
+            if r and rest > bound:
+                total += -hi_r // n  # d = 1: k = n - r > n/2 has no children
+            for d in range(2, rest // (bound + 1) + 1):
+                if rest % d == 0:
+                    k, c = rest // d, -(-hi_r // d)
+                    total += -c // n
+                    stack.append((k, scale * k - c, scale * k - lo_r // d))
     return total
 
 
@@ -75,38 +90,27 @@ class IntegralReport:
     target: Rat
     deviation: Rat
     quantization: Rat
-    workers: int
 
 
 def integrate_esum(grid: int, workers: "int | None" = None) -> IntegralReport:
     """Left-endpoint Riemann sum of the error-sum function over k/grid.
 
-    Every point value is exact; only the merge is quantized (see
-    INTEGRAL_SCALE).  The chunked sum is an integer, so results are
-    identical for any worker count.
+    Every point value is floored exactly to a multiple of 1/INTEGRAL_SCALE
+    by the shift recursion (see INTEGRAL_SCALE), in one pass over the grid;
+    the floors sum to an integer, so quantization bounds the only error.
+    ``workers`` is accepted for compatibility and ignored.
     """
     if grid < 1:
         raise DomainError("grid must be >= 1")
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, min(workers, grid, 64))
-    if workers == 1:
-        total = _grid_chunk((0, grid, grid, INTEGRAL_SCALE))
-    else:
-        step = -(-grid // workers)
-        chunks = [
-            (lo, min(lo + step, grid), grid, INTEGRAL_SCALE) for lo in range(0, grid, step)
-        ]
-        with get_context("fork").Pool(workers) as pool:
-            total = sum(pool.map(_grid_chunk, chunks))
-    estimate = Fraction(total, grid * INTEGRAL_SCALE)
+    if grid > INTEGRAL_MAX_GRID:
+        raise ResourceLimitError(f"grid {grid} exceeds the cap {INTEGRAL_MAX_GRID}")
+    estimate = Fraction(_grid_total(grid), grid * INTEGRAL_SCALE)
     return IntegralReport(
         grid=grid,
         estimate=estimate,
         target=INTEGRAL_TARGET,
         deviation=estimate - INTEGRAL_TARGET,
         quantization=Fraction(1, INTEGRAL_SCALE),
-        workers=workers,
     )
 
 
@@ -199,12 +203,12 @@ def _qualifying_children(prefix, prod, value, y):
     its root interval.  The high branch starts near n/(P delta), so only a
     handful of candidates exist; each is re-verified exactly.
 
-    The low branch (k at most the smaller root) lies inside the window
-    first .. first + 8.  With x = P delta <= n (else k_hi < 1), the smaller
-    root is 2/((n - x) + sqrt(disc)), disc = (n - x)^2 - 4x.  Both terms of
-    the denominator fall as x grows, so the root grows until disc = 0, at
+    The low branch (k at most the smaller root) holds only k <= 2.  With
+    x = P delta <= n (else k_hi < 1), the smaller root is
+    2/((n - x) + sqrt(disc)), disc = (n - x)^2 - 4x.  Both terms of the
+    denominator fall as x grows, so the root grows until disc = 0, at
     x = (sqrt(n+1) - 1)^2, where it equals 1/(sqrt(n+1) - 1) <= 1 + sqrt(2)
-    < 3.  So the low branch holds at most k = 1, 2, all below first + 8.
+    < 3.  So the window first .. min(2, k_hi) covers the low branch.
     """
     n = len(prefix)
     delta = (value - y) if n % 2 == 1 else (y - value)
@@ -221,11 +225,11 @@ def _qualifying_children(prefix, prod, value, y):
         # quadratic positive everywhere; k_hi is at most ~6 here
         candidates = range(first, k_hi + 1)
     else:
-        # low branch: k <= smaller root < first + 8; high branch: k >= larger
+        # low branch: k <= smaller root < 3; high branch: k >= larger
         # root, conservatively floored via an integer sqrt lower bound
         sqrt_lo = Fraction(iroot(disc.numerator * disc.denominator, 2), disc.denominator)
         high_start = max(first, int((-beta + sqrt_lo) / (2 * alpha)))
-        low = range(first, min(first + 8, k_hi) + 1)
+        low = range(first, min(2, k_hi) + 1)
         high = range(high_start, k_hi + 1)
         if len(low) + len(high) > 10_000:
             raise ResourceLimitError("qualifying-child window is implausibly wide")

@@ -149,7 +149,7 @@ def _decimal_str(value: Fraction, digits: int = 20) -> str:
 
 
 def _cmd_integral(args):
-    rep = analysis.integrate_esum(args.grid, workers=args.workers)
+    rep = analysis.integrate_esum(args.grid)
     payload = {
         "grid": rep.grid,
         "estimate": rep.estimate,
@@ -157,7 +157,6 @@ def _cmd_integral(args):
         "target": rep.target,
         "deviation": rep.deviation,
         "quantization": rep.quantization,
-        "workers": rep.workers,
     }
     if args.tolerance is not None:
         tol = as_rational(args.tolerance)
@@ -351,9 +350,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("integral", parents=[common], help="Riemann sum of the error sum")
     p.add_argument("--grid", type=int, required=True)
-    p.add_argument(
-        "--workers", type=int, default=None, help="worker processes (default: all cores)"
-    )
     p.add_argument("--tolerance", default=None, help="exit 2 if |deviation| exceeds this p/q")
     p.set_defaults(run=_cmd_integral)
 

@@ -24,8 +24,31 @@ from piercesum import (
     subtree_interval_mass,
     variation_over_partition,
 )
-from piercesum.analysis import _esum_floor_scaled
+from piercesum import analysis
+from piercesum.analysis import INTEGRAL_MAX_GRID, INTEGRAL_SCALE, _grid_total
 from piercesum.certify import exp_enclosure, sqrt_enclosure
+
+
+def _esum_floor_scaled(p: int, q: int, scale: int) -> int:
+    # oracle: floor(E(p/q) * scale) for p/q in lowest terms, from the digits
+    if p == 0:
+        return 0
+    num, den, k, r = 0, 1, 0, p
+    while r:
+        d, r = divmod(q, r)
+        k += 1
+        num = num * d + (k - 1 if k % 2 else -(k - 1))
+        den *= d
+    return (num * scale) // den
+
+
+def _grid_total_per_point(grid: int) -> int:
+    # oracle: expand every grid point k/grid from scratch
+    total = 0
+    for k in range(grid):
+        g = math.gcd(k, grid)
+        total += _esum_floor_scaled(k // g, grid // g, INTEGRAL_SCALE)
+    return total
 
 
 class TestIntegral:
@@ -39,10 +62,26 @@ class TestIntegral:
         rep = integrate_esum(grid)
         assert abs(rep.estimate - exact) <= rep.quantization
 
-    def test_worker_count_does_not_change_result(self):
-        a = integrate_esum(512, workers=1)
-        b = integrate_esum(512, workers=2)
-        assert a.estimate == b.estimate
+    @pytest.mark.parametrize(
+        "grids", [range(1, 601), [4096, 5040, 65536, 65537]], ids=["small", "large"]
+    )
+    def test_grid_total_matches_per_point_oracle(self, grids):
+        # every small grid, powers of two, highly composite grids and primes
+        for grid in grids:
+            assert _grid_total(grid) == _grid_total_per_point(grid), grid
+
+    def test_workers_argument_is_ignored(self):
+        rep = integrate_esum(97, workers=7)
+        assert rep.estimate == F(_grid_total_per_point(97), 97 * INTEGRAL_SCALE)
+        assert rep == integrate_esum(97)
+
+    def test_grid_cap_raises_before_any_work(self, monkeypatch):
+        def refuse(grid):
+            raise AssertionError("grid sum started above the cap")
+
+        monkeypatch.setattr(analysis, "_grid_total", refuse)
+        with pytest.raises(ResourceLimitError):
+            integrate_esum(INTEGRAL_MAX_GRID + 1)
 
     def test_convergence_track(self):
         rep = integrate_esum(2**14)
@@ -56,7 +95,7 @@ class TestIntegral:
 
     def test_scaled_kernel_agrees_with_exact_esum(self):
         rng = random.Random(11)
-        scale = 10**40
+        scale = INTEGRAL_SCALE
         for _ in range(200):
             q = rng.randint(1, 10**6)
             p = rng.randint(0, q)

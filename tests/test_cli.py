@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from piercesum import analysis
 from piercesum.cli import main
 
 
@@ -114,6 +115,15 @@ class TestIntegral:
         )
         assert code == 2 and payload["within_tolerance"] is False
 
+    def test_grid_cap_exit_code(self, capsys, monkeypatch):
+        def refuse(grid):
+            raise AssertionError("grid sum started above the cap")
+
+        monkeypatch.setattr(analysis, "_grid_total", refuse)
+        grid = str(analysis.INTEGRAL_MAX_GRID + 1)
+        code, _, err = run(capsys, "integral", "--grid", grid)
+        assert code == 3 and "resource limit" in err
+
 
 class TestVariation:
     def test_analytic(self, capsys):
@@ -189,11 +199,24 @@ class TestPlumbing:
         assert run(capsys, "expand")[0] == 1
         assert run(capsys, "nonsense")[0] == 1
 
-    def test_workers_only_on_integral(self, capsys):
-        code, _, err = run(capsys, "expand", "1/3", "--workers", "7")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "1/3"],
+            ["esum", "1/3"],
+            ["jumps", "1/3"],
+            ["graph", "--order", "1", "--digit-cap", "2"],
+            ["integral", "--grid", "8"],
+            ["variation", "--order", "2"],
+            ["dimension", "--pow-min", "4", "--pow-max", "6"],
+            ["ivt", "--a", "9/25", "--b", "39/100", "--y=-1/10"],
+            ["counts", "--product", "6", "--max-len", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_command_accepts_workers(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--workers", "1")
         assert code == 1 and "--workers" in err
-        code, payload, _ = run_json(capsys, "integral", "--grid", "8", "--workers", "1")
-        assert code == 0 and payload["workers"] == 1
 
     def test_deterministic_output(self, capsys):
         a = run(capsys, "graph", "--order", "2", "--digit-cap", "4",

@@ -8,15 +8,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_graph_dimension_demo():
+def run_demo(name: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "05_graph_dimension.py")],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
         capture_output=True,
         text=True,
         env=env,
         timeout=600,
     )
+
+
+def test_integral_and_variation_demo():
+    run = run_demo("04_integral_and_variation.py")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.count("grid 2^") == 3
+
+
+def test_graph_dimension_demo():
+    run = run_demo("05_graph_dimension.py")
     assert run.returncode == 0, run.stderr
     assert run.stdout.count("(<= bound: True)") == 3

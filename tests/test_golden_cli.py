@@ -34,10 +34,9 @@ GOLDEN = {
         "963ac0363cf2ee09a68f5ae8fe4291213df3f4ab12994ef7c124381e6923ac30",
     ),
     "integral": (
-        # one worker: the payload echoes the worker count
-        ["integral", "--grid", "1000", "--workers", "1"],
-        420,
-        "00abe73f6eb29b5b7aa0e1e10b7710ee6945ec1dc97feed4060b1823f1d92ae0",
+        ["integral", "--grid", "1000"],
+        404,
+        "7b83e4d81d0b443dfc95fe950bcd20ecfda9660e0fc6b1f157410bcfea680fa4",
     ),
     "variation": (
         ["variation", "--order", "3", "--digit-cap", "20"],
