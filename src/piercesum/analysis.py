@@ -17,7 +17,7 @@ import numpy as np
 
 from .certify import exp_enclosure, iroot, log_enclosure, pow_enclosure
 from .core import DepthOverflowError, DomainError, Rat, as_rational
-from .errorsum import cylinder_extrema, estar_digits, esum
+from .errorsum import cylinder_extrema, esum
 from .intervals import FundInterval, fundamental_interval, residual_mass
 from .sequences import Enclosure, capped_child_ranges, enumerate_prefixes, walk_prefixes
 
@@ -92,13 +92,12 @@ class IntegralReport:
     quantization: Rat
 
 
-def integrate_esum(grid: int, workers: "int | None" = None) -> IntegralReport:
+def integrate_esum(grid: int) -> IntegralReport:
     """Left-endpoint Riemann sum of the error-sum function over k/grid.
 
     Every point value is floored exactly to a multiple of 1/INTEGRAL_SCALE
     by the shift recursion (see INTEGRAL_SCALE), in one pass over the grid;
     the floors sum to an integer, so quantization bounds the only error.
-    ``workers`` is accepted for compatibility and ignored.
     """
     if grid < 1:
         raise DomainError("grid must be >= 1")
@@ -193,15 +192,17 @@ class RootBracket:
             raise AssertionError("bracket does not contain its target value")
 
 
-def _qualifying_children(prefix, prod, value, y):
+def _qualifying_children(prefix, prod, err_num, y):
     """Digits k extending ``prefix`` whose cylinder still brackets y.
 
-    The child ranges are explicit in k: for odd order they span
+    ``err_num`` is the prefix's E* numerator over its digit product
+    ``prod``.  The child ranges are explicit in k: for odd order they span
     [E - n/(Pk), E - n/(Pk) + (n+1)/(Pk(k+1))], mirrored for even order.
     Bracketing y therefore needs k <= n/(P delta) together with the
     quadratic (P delta)k^2 + (P delta - n)k + 1 >= 0, which holds outside
     its root interval.  The high branch starts near n/(P delta), so only a
-    handful of candidates exist; each is re-verified exactly.
+    handful of candidates exist; each is verified by integer comparisons
+    from the parent's numerators, over the common denominator Pk(k+1).
 
     The low branch (k at most the smaller root) holds only k <= 2.  With
     x = P delta <= n (else k_hi < 1), the smaller root is
@@ -211,10 +212,9 @@ def _qualifying_children(prefix, prod, value, y):
     < 3.  So the window first .. min(2, k_hi) covers the low branch.
     """
     n = len(prefix)
-    delta = (value - y) if n % 2 == 1 else (y - value)
-    if delta <= 0:
+    pd = (err_num - prod * y) if n % 2 == 1 else (prod * y - err_num)  # P delta
+    if pd <= 0:
         return []
-    pd = prod * delta
     k_hi = int(n / pd)  # floor of n/(P delta)
     first = prefix[-1] + 1
     if k_hi < first:
@@ -234,12 +234,15 @@ def _qualifying_children(prefix, prod, value, y):
         if len(low) + len(high) > 10_000:
             raise ResourceLimitError("qualifying-child window is implausibly wide")
         candidates = sorted(set(low) | set(high))
+    # child E* is (err_num k + s n)/(Pk), s = (-1)^n; its range reaches
+    # (n+1)/(Pk(k+1)) below it for odd child order, above it for even
+    s = -1 if n % 2 else 1
+    yn, yd = y.numerator, y.denominator
     out = []
     for k in candidates:
-        child = prefix + (k,)
-        ext = cylinder_extrema(child)
-        if ext.minimum <= y <= ext.maximum:
-            out.append(child)
+        lo = (err_num * k + s * n) * (k + 1) - (n + 1 if s > 0 else 0)
+        if lo * yd <= yn * prod * k * (k + 1) <= (lo + n + 1) * yd:
+            out.append(prefix + (k,))
     return out
 
 
@@ -260,41 +263,31 @@ def ivt_root(a, b, y, width_tol, max_depth: int = 64) -> RootBracket:
     if not ea < y < eb:
         raise DomainError(f"need E(a) < y < E(b), got E(a)={ea}, y={y}, E(b)={eb}")
 
-    def intersects(iv: FundInterval) -> bool:
-        return iv.right > a and iv.left < b
-
-    def refine(prefix, depth):
-        iv = fundamental_interval(prefix)
-        if iv.length < width_tol:
-            ext = cylinder_extrema(prefix)
-            return RootBracket(iv, ext.minimum, ext.maximum, y)
-        if depth >= max_depth:
-            return None
-        children = _qualifying_children(prefix, math.prod(prefix), estar_digits(prefix), y)
-        ordered = sorted(
-            ((fundamental_interval(c), c) for c in children), key=lambda pair: pair[0].left
-        )
-        for child_iv, child in ordered:
-            if not intersects(child_iv):
-                continue
-            found = refine(child, depth + 1)
-            if found is not None:
-                return found
-        return None
-
-    # order-1 cylinders (1/(k+1), 1/k] that can meet (a, b): a > 0 because
-    # E(a) < y <= 0 rules out a = 0, so the first digit is bounded
+    # order-1 cylinders (1/(k+1), 1/k] meet (a, b) exactly for k_min..k_max,
+    # a > 0 as E(a) < y <= 0; their E* ranges are [-1/(k(k+1)), 0].  A node
+    # holds its prefix, prod and the phi and E* numerators over prod.
     k_min = max(1, math.floor((1 - b) / b) + 1)
     k_max = math.ceil(Fraction(1) / a) - 1
-    for k in range(k_max, k_min - 1, -1):  # descending k = leftmost interval first
-        if y < Fraction(-1, k * (k + 1)):
+    stack = [((k,), k, 1, 0) for k in range(k_min, k_max + 1) if y >= Fraction(-1, k * (k + 1))]
+    while stack:
+        prefix, prod, value_num, err_num = stack.pop()
+        n = len(prefix)
+        if prod * (prefix[-1] + 1) * width_tol > 1:  # length 1/(prod (last+1))
+            ext = cylinder_extrema(prefix)
+            return RootBracket(fundamental_interval(prefix), ext.minimum, ext.maximum, y)
+        if n >= max_depth:
             continue
-        prefix = (k,)
-        if not intersects(fundamental_interval(prefix)):
-            continue
-        found = refine(prefix, 1)
-        if found is not None:
-            return found
+        # child k spans phi (v k + s)/(prod k) .. (v (k+1) + s)/(prod (k+1)), v = value_num,
+        # s = (-1)^n; pushed so that the leftmost, largest k for even n, pops first
+        s = -1 if n % 2 else 1
+        children = []
+        for child in _qualifying_children(prefix, prod, err_num, y):
+            k = child[-1]
+            num = value_num * k + s
+            ends = (Fraction(num, prod * k), Fraction(num + value_num, prod * (k + 1)))
+            if max(ends) > a and min(ends) < b:
+                children.append((child, prod * k, num, err_num * k + s * n))
+        stack.extend(children if s > 0 else reversed(children))
     raise DepthOverflowError(
         f"no bracket narrower than {width_tol} found within depth {max_depth}"
     )
@@ -610,19 +603,21 @@ def count_bounded_products(
     if increasing:
         count = sum(1 for _ in enumerate_prefixes(m, max_product=p))
     else:
-        cache: dict[tuple[int, int], int] = {}
+        # f(L, c) = sum_{d <= c} (1 + f(L-1, c // d)), f(0, c) = 0, over the
+        # states c = p // j, one length at a time and one run of equal
+        # quotients c // d at a time
+        def runs(c):
+            d = 1
+            while d <= c:
+                q = c // d
+                yield q, c // q - d + 1
+                d = c // q + 1
 
-        def count_all(length_left, cap):
-            if length_left == 0:
-                return 0
-            key = (length_left, cap)
-            if key not in cache:
-                cache[key] = sum(
-                    1 + count_all(length_left - 1, cap // d) for d in range(1, cap + 1)
-                )
-            return cache[key]
-
-        count = count_all(m, p)
+        states = [q for q, _ in runs(p)]
+        f = dict.fromkeys(states, 0)
+        for _ in range(m):
+            f = {c: sum(run * (1 + f[q]) for q, run in runs(c)) for c in states}
+        count = f[p]
 
     base = Enclosure.exact(2) + log_enclosure(p, terms) if p > 1 else Enclosure.exact(2)
     bound = p * base.power(m - 1)

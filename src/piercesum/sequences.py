@@ -104,6 +104,8 @@ class Enclosure:
     def power(self, k: int) -> "Enclosure":
         if k < 0:
             return self.power(-k).reciprocal()
+        if self.lo >= 0:  # the repeated product's endpoints, without a gcd per factor
+            return Enclosure(Fraction(self.lo) ** k, Fraction(self.hi) ** k)
         out = Enclosure.exact(1)
         for _ in range(k):
             out = out * self

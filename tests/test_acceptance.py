@@ -5,7 +5,6 @@ criteria complete.  Tolerances are pinned here, not configurable.
 """
 
 import math
-import os
 import random
 import time
 from bisect import bisect_right
@@ -62,7 +61,7 @@ def random_unit_rationals(count, max_den, seed):
 def test_criterion_01_integral_reproduction():
     tolerance = F(5, 1000)
     start = time.monotonic()
-    rep = integrate_esum(2**20, workers=os.cpu_count())
+    rep = integrate_esum(2**20)
     elapsed = time.monotonic() - start
     ok = abs(rep.deviation) < tolerance and elapsed < 300
     report(

@@ -6,14 +6,17 @@ import pytest
 
 from piercesum import (
     DegenerateFitError,
+    DepthOverflowError,
     DomainError,
     ResourceLimitError,
+    RootBracket,
     box_count_empirical,
     box_count_sweep,
     calibrate_product_bound,
     count_bounded_products,
     cylinder_extrema,
     dimension_slope,
+    estar_digits,
     esum,
     factorial_bounds_check,
     fundamental_interval,
@@ -26,7 +29,7 @@ from piercesum import (
 )
 from piercesum import analysis
 from piercesum.analysis import INTEGRAL_MAX_GRID, INTEGRAL_SCALE, _grid_total
-from piercesum.certify import exp_enclosure, sqrt_enclosure
+from piercesum.certify import exp_enclosure, iroot, sqrt_enclosure
 
 
 def _esum_floor_scaled(p: int, q: int, scale: int) -> int:
@@ -71,9 +74,10 @@ class TestIntegral:
             assert _grid_total(grid) == _grid_total_per_point(grid), grid
 
     def test_workers_argument_is_ignored(self):
-        rep = integrate_esum(97, workers=7)
+        rep = integrate_esum(97)
         assert rep.estimate == F(_grid_total_per_point(97), 97 * INTEGRAL_SCALE)
-        assert rep == integrate_esum(97)
+        with pytest.raises(TypeError):
+            integrate_esum(97, workers=7)
 
     def test_grid_cap_raises_before_any_work(self, monkeypatch):
         def refuse(grid):
@@ -145,6 +149,91 @@ class TestVariation:
         assert rep.total > candidate
 
 
+def _qualifying_children_oracle(prefix, y):
+    # the candidate window of analysis._qualifying_children, each candidate
+    # checked against its own cylinder_extrema
+    n, prod, value = len(prefix), math.prod(prefix), estar_digits(prefix)
+    delta = (value - y) if n % 2 == 1 else (y - value)
+    if delta <= 0:
+        return []
+    pd = prod * delta
+    k_hi = int(n / pd)
+    first = prefix[-1] + 1
+    if k_hi < first:
+        return []
+    alpha, beta = pd, pd - n
+    disc = beta * beta - 4 * alpha
+    if disc < 0:
+        candidates = range(first, k_hi + 1)
+    else:
+        sqrt_lo = F(iroot(disc.numerator * disc.denominator, 2), disc.denominator)
+        high_start = max(first, int((-beta + sqrt_lo) / (2 * alpha)))
+        candidates = sorted(set(range(first, min(2, k_hi) + 1)) | set(range(high_start, k_hi + 1)))
+    out = []
+    for k in candidates:
+        ext = cylinder_extrema(prefix + (k,))
+        if ext.minimum <= y <= ext.maximum:
+            out.append(prefix + (k,))
+    return out
+
+
+def ivt_root_oracle(a, b, y, width_tol, max_depth=64):
+    # oracle: recursive leftmost-first refinement, children sorted by the
+    # left end of their fundamental_interval
+    def intersects(iv):
+        return iv.right > a and iv.left < b
+
+    def refine(prefix, depth):
+        iv = fundamental_interval(prefix)
+        if iv.length < width_tol:
+            ext = cylinder_extrema(prefix)
+            return RootBracket(iv, ext.minimum, ext.maximum, y)
+        if depth >= max_depth:
+            return None
+        ordered = sorted(
+            ((fundamental_interval(c), c) for c in _qualifying_children_oracle(prefix, y)),
+            key=lambda pair: pair[0].left,
+        )
+        for child_iv, child in ordered:
+            if not intersects(child_iv):
+                continue
+            found = refine(child, depth + 1)
+            if found is not None:
+                return found
+        return None
+
+    k_min = max(1, math.floor((1 - b) / b) + 1)
+    k_max = math.ceil(F(1) / a) - 1
+    for k in range(k_max, k_min - 1, -1):
+        if y < F(-1, k * (k + 1)):
+            continue
+        prefix = (k,)
+        if not intersects(fundamental_interval(prefix)):
+            continue
+        found = refine(prefix, 1)
+        if found is not None:
+            return found
+    raise DepthOverflowError(f"no bracket narrower than {width_tol} within depth {max_depth}")
+
+
+def ivt_triples(seed, count):
+    # (a, b, y) with E(a) < y < E(b), drawn as in acceptance criterion 10
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a = F(rng.randint(1, 9999), 10000)
+        b = a + F(rng.randint(1, 5000), 10000)
+        if b >= 1:
+            continue
+        ea, eb = esum(a), esum(b)
+        if not ea < eb:
+            continue
+        y = ea + F(rng.randint(1, 127), 128) * (eb - ea)
+        if ea < y < eb:
+            out.append((a, b, y))
+    return out
+
+
 class TestIvtRoot:
     def test_paper_scale_example(self):
         bracket = ivt_root(F(9, 25), F(39, 100), F(-1, 10), F(1, 10**9))
@@ -187,6 +276,26 @@ class TestIvtRoot:
             # leftmost-first refinement keeps descending the same branch
             assert outer.interval.left <= inner.interval.left
             assert inner.interval.right <= outer.interval.right
+
+    @pytest.mark.parametrize("exponent", [3, 9])
+    def test_brackets_match_recursive_oracle(self, exponent):
+        tol = F(1, 10**exponent)
+        triples = ivt_triples(101, 100) + ivt_triples("ivt-1", 300 if exponent == 3 else 1000)
+        triples += [
+            (F(9, 25), F(39, 100), F(-1, 10)),
+            (F(1, 2) + F(1, 4000), F(3, 5), F(-1, 2) + F(1, 1000)),
+        ]
+        for a, b, y in triples:
+            assert ivt_root(a, b, y, tol) == ivt_root_oracle(a, b, y, tol), (a, b, y)
+
+    def test_depth_exhaustion_backtracks_then_raises(self):
+        args = (F(9, 25), F(39, 100), F(-1, 10), F(1, 10**9))
+        for max_depth in (6, 7):  # the bracket has 8 digits
+            with pytest.raises(DepthOverflowError):
+                ivt_root(*args, max_depth=max_depth)
+        bracket = ivt_root(*args, max_depth=8)
+        assert bracket.interval.sigma == (2, 3, 4, 7, 19, 24, 29, 34)
+        assert bracket == ivt_root_oracle(*args, max_depth=8)
 
     def test_random_triples_small(self):
         rng = random.Random(5)
@@ -371,6 +480,15 @@ class TestCountBoundedProducts:
             s for s in seqs if len(s) == m and all(a < b for a, b in zip(s, s[1:]))
         ]
         assert count_bounded_products(p, m, increasing=True).count == len(increasing)
+
+    def test_long_sequences_need_no_recursion(self):
+        # p = 2 allows one 2 in any position, or none: m + m(m+1)/2
+        assert count_bounded_products(2, 300).count == 45450
+        assert count_bounded_products(2, 2000).count == 2003000
+
+    def test_pinned_counts(self):
+        assert count_bounded_products(10**4, 6).count == 26635724
+        assert count_bounded_products(10**4, 6, increasing=True).count == 1469
 
     def test_budget(self):
         with pytest.raises(ResourceLimitError):

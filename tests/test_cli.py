@@ -186,6 +186,10 @@ class TestCounts:
         )
         assert code == 0 and payload["count"] == 6 and payload["within_bound"] is True
 
+    def test_long_sequences(self, capsys):
+        code, payload, _ = run_json(capsys, "counts", "--product", "2", "--max-len", "2000")
+        assert code == 0 and payload["count"] == 2003000 and payload["within_bound"] is True
+
     def test_budget_exit_code(self, capsys):
         code, _, err = run(
             capsys, "counts", "--product", "100000", "--max-len", "100",

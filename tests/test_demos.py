@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -20,10 +22,19 @@ def run_demo(name: str) -> subprocess.CompletedProcess:
     )
 
 
+@pytest.mark.parametrize(
+    "name", ["01_digits_and_convergents.py", "02_error_sums.py", "03_intervals_and_jumps.py"]
+)
+def test_demo_runs(name):
+    run = run_demo(name)
+    assert run.returncode == 0, run.stderr
+
+
 def test_integral_and_variation_demo():
     run = run_demo("04_integral_and_variation.py")
     assert run.returncode == 0, run.stderr
     assert run.stdout.count("grid 2^") == 3
+    assert run.stdout.count("bracket: ") == 1
 
 
 def test_graph_dimension_demo():

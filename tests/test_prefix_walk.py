@@ -245,4 +245,4 @@ def test_qualifying_children_match_a_brute_force_scan(digits, t):
         child = cylinder_extrema(prefix + (k,))
         if child.minimum <= y <= child.maximum:
             brute.append(prefix + (k,))
-    assert _qualifying_children(prefix, prod, value, y) == brute
+    assert _qualifying_children(prefix, prod, int(value * prod), y) == brute

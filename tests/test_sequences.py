@@ -228,6 +228,13 @@ class TestEnclosure:
         assert a.reciprocal().lo == F(1, 2)
         assert b.power(2).contains(F(9))  # endpoints squared straddle zero
 
+    def test_power_equals_repeated_product(self):
+        for enc in (Enclosure(F(0), F(3, 2)), Enclosure(F(2, 7), F(5, 3)), Enclosure(F(-3), F(5))):
+            product = Enclosure.exact(1)
+            for k in range(7):
+                assert enc.power(k) == product, (enc, k)
+                product = product * enc
+
     def test_round_outward(self):
         enc = Enclosure(F(1, 3), F(2, 3)).round_outward(100)
         assert enc.lo == F(33, 100) and enc.hi == F(67, 100)
