@@ -42,6 +42,7 @@ from .core import (
     constant_stream,
     convergent,
     digit1,
+    estar_digits,
     evaluate_digits,
     expand,
     shift,
@@ -53,7 +54,6 @@ from .errorsum import (
     cylinder_extrema,
     estar,
     estar_by_definition,
-    estar_digits,
     esum,
     esum_stream,
     jumps_at,

@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .certify import exp_enclosure, iroot, log_enclosure, pow_enclosure
 from .core import DepthOverflowError, DomainError, Rat, as_rational
 from .errorsum import cylinder_extrema, esum
 from .intervals import FundInterval, fundamental_interval, residual_mass
-from .sequences import Enclosure, capped_child_ranges, enumerate_prefixes, walk_prefixes
+from .sequences import Enclosure, enumerate_prefixes, walk_prefixes
 
 
 class ResourceLimitError(RuntimeError):
@@ -159,14 +160,11 @@ def variation_over_partition(n: int, digit_cap: "int | None" = None) -> Variatio
         return VariationReport(n, None, n * subtree_interval_mass(0), Fraction(0))
     if digit_cap < 1:
         raise DomainError("digit cap must be >= 1")
-    # the lengths 1/(prod d (d+1)) of a child run first..hi telescope
-    covered = sum(
-        (
-            Fraction(hi + 1 - first, prod * first * (hi + 1))
-            for _, prod, _, _, first, hi in capped_child_ranges(n, digit_cap)
-        ),
-        Fraction(0),
-    )
+    # the lengths 1/(prod d (d+1)) of an order n-1 prefix's children telescope
+    covered = Fraction(0)
+    for prefix in combinations(range(1, digit_cap), n - 1):
+        first = prefix[-1] + 1 if prefix else 1
+        covered += Fraction(digit_cap + 1 - first, math.prod(prefix) * first * (digit_cap + 1))
     report = VariationReport(n, digit_cap, n * covered, residual_mass(n, digit_cap))
     if report.total != n:
         raise AssertionError(f"partition mass identity failed at order {n}, cap {digit_cap}")
@@ -346,8 +344,10 @@ def hausdorff_cover_sum(n: int, s, digit_cap: int, scale: int = 10**18) -> Cover
     # an order-n prefix ending in d has length exactly 1/L, L = prod * d(d+1)
     # with prod the product of its first n-1 digits, so terms depend on L only
     multiplicity = Counter()
-    for _, prod, _, _, first, hi in capped_child_ranges(n, digit_cap):
-        multiplicity.update(prod * d * (d + 1) for d in range(first, hi + 1))
+    for prefix in combinations(range(1, digit_cap), n - 1):
+        prod = math.prod(prefix)
+        first = prefix[-1] + 1 if prefix else 1
+        multiplicity.update(prod * d * (d + 1) for d in range(first, digit_cap + 1))
 
     # each term is ((n^2+1)^p / L^(2p)) ^ (1/(2q)), scaled, bracketed by roots
     numerator = diam_sq**p * scale ** (2 * q)

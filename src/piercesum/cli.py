@@ -18,12 +18,12 @@ import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, combinations, islice
 from math import gcd
 
-from . import analysis, errorsum, sequences
+from . import analysis, core, errorsum, sequences
 from .core import DepthOverflowError, DomainError, as_rational, constant_stream, expand
-from .sequences import DEFAULT_DEPTH, Enclosure, PierceSeq, capped_child_ranges
+from .sequences import DEFAULT_DEPTH, Enclosure, PierceSeq
 
 SCHEMA_VERSION = 1
 
@@ -111,22 +111,19 @@ def _ratio(num: int, den: int) -> str:
 
 
 def _graph_rows(order_max: int, digit_cap: int):
-    # child d of an order n-1 prefix with numerators (prod, v, e) over prod
-    # has phi = (v d + step)/(prod d), E* = (e d + step k)/(prod d) and
-    # length 1/(prod d (d+1)), so no row needs a Fraction
+    # every order-n prefix with digits <= digit_cap, in lexicographic order:
+    # an order n-1 prefix of digits < digit_cap, then d = first .. digit_cap
     for order in range(1, order_max + 1):
-        for prefix, prod, v, e, first, hi in capped_child_ranges(order, digit_cap):
-            k = len(prefix)
-            step = -1 if k % 2 else 1
+        for prefix in combinations(range(1, digit_cap), order - 1):
             head = "(" + "".join(f"{x}," for x in prefix)
-            for d in range(first, hi + 1):
-                den = prod * d
+            for d in range(prefix[-1] + 1 if prefix else 1, digit_cap + 1):
+                prod, v, e = core.digit_numerators(prefix + (d,))
                 yield {
                     "sigma": f"{head}{d})",
                     "order": order,
-                    "phi": _ratio(v * d + step, den),
-                    "estar": _ratio(e * d + step * k, den),
-                    "length": f"1/{den * (d + 1)}",
+                    "phi": _ratio(v, prod),
+                    "estar": _ratio(e, prod),
+                    "length": f"1/{prod * (d + 1)}",
                 }
 
 

@@ -124,14 +124,31 @@ def convergent(x, n: int) -> Rat:
     return evaluate_digits(digits[:n])
 
 
+def digit_numerators(digits) -> tuple[int, int, int]:
+    """The digit product and the phi and E* numerators over it, as a triple.
+
+    Appending digit d at 0-based position k maps value_num to
+    value_num d + (-1)^k and err_num to err_num d + (-1)^k k.
+    """
+    prod, value_num, err_num, step = 1, 0, 0, 1
+    for k, d in enumerate(digits):
+        prod *= d
+        value_num = value_num * d + step
+        err_num = err_num * d + step * k
+        step = -step
+    return prod, value_num, err_num
+
+
 def evaluate_digits(digits) -> Rat:
     """Exact alternating sum sum_k (-1)^(k+1) / (d_1 ... d_k) of finite digits."""
-    num, den = 0, 1
-    for k, d in enumerate(digits):
-        # num_{k+1} = num_k * d + (-1)^k keeps the sum over the running product
-        num = num * d + (1 if k % 2 == 0 else -1)
-        den *= d
-    return Fraction(num, den)
+    prod, value_num, _ = digit_numerators(digits)
+    return Fraction(value_num, prod)
+
+
+def estar_digits(digits) -> Rat:
+    """Exact closed-form error sum of a finite digit tuple."""
+    prod, _, err_num = digit_numerators(digits)
+    return Fraction(err_num, prod)
 
 
 @dataclass(frozen=True)

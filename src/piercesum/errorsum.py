@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, Rat, as_rational, evaluate_digits, expand, shift_power
+from .core import DomainError, Rat, as_rational, estar_digits, evaluate_digits, expand, shift_power
 from .intervals import interval_length
 from .sequences import (
     DEFAULT_DEPTH,
@@ -22,18 +22,7 @@ from .sequences import (
     as_sequence,
     hat_prime,
     is_realizable,
-    phi_partial,
 )
-
-
-def estar_digits(digits) -> Rat:
-    """Exact closed-form error sum of a finite digit tuple."""
-    num, den = 0, 1
-    for k, d in enumerate(digits, start=1):
-        # appending digit k contributes the term (-1)^(k-1) (k-1) / (d_1 ... d_k)
-        num = num * d + (k - 1 if k % 2 else -(k - 1))
-        den *= d
-    return Fraction(num, den)
 
 
 def estar(seq, depth: int = DEFAULT_DEPTH) -> Enclosure:
@@ -220,18 +209,23 @@ def oscillation(prefix) -> Rat:
 def recursion_check(x, n: int) -> bool:
     """Verify E(x) = sum_{k<=n} (x - s_k(x)) + (-1)^n E(T^n x)/(d_1...d_n) exactly.
 
-    Digits past the expansion length count as infinite, so the trailing
-    factor vanishes there and the identity still holds.
+    Digits past the expansion length count as infinite, so s_k = x there,
+    the trailing factor vanishes and the identity still holds.  The partial
+    sums share one running denominator: sum_{j<=k} s_j = total_k/prod_k with
+    total_k = total_{k-1} d_k + value_num_k, s_k = value_num_k/prod_k.
     """
     x = as_rational(x)
     if n < 1:
         raise DomainError("recursion depth must be >= 1")
     digits = expand(x)
-    lhs = estar_digits(digits)
-    rhs = Fraction(0)
-    for k in range(1, n + 1):
-        rhs += x - evaluate_digits(digits[:k])
+    head = digits[:n]
+    prod, value_num, total = 1, 0, 0
+    for k, d in enumerate(head):
+        prod *= d
+        value_num = value_num * d + (-1 if k % 2 else 1)
+        total = total * d + value_num
+    rhs = len(head) * x - Fraction(total, prod)
     if n <= len(digits):
         tail_value = estar_digits(expand(shift_power(x, n)))
-        rhs += Fraction((-1) ** n, math.prod(digits[:n])) * tail_value
-    return lhs == rhs
+        rhs += Fraction((-1) ** n, prod) * tail_value
+    return estar_digits(digits) == rhs

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .core import (
@@ -85,6 +86,8 @@ class Enclosure:
 
     def __mul__(self, other):
         other = other if isinstance(other, Enclosure) else Enclosure.exact(other)
+        if self.lo >= 0 and other.lo >= 0:  # the extreme products, without comparing them
+            return Enclosure(self.lo * other.lo, self.hi * other.hi)
         products = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
         return Enclosure(min(products), max(products))
 
@@ -352,7 +355,8 @@ def walk_prefixes(last_child) -> Iterator[tuple[tuple[int, ...], int, int, int, 
     product ``prod``; hi <= last means no child.  Children that have a child
     must form a leading run of each range, since pushing stops at the first
     child without one.  The stack is explicit, so depth is not limited by
-    the recursion limit.
+    the recursion limit.  Its callers are the product-bounded trees of
+    ``enumerate_prefixes`` and ``analysis.box_count_empirical``.
     """
     root = ((), 1, 0, 0, last_child(0, 0, 1))
     stack = [root] if root[-1] > 0 else []
@@ -374,23 +378,6 @@ def walk_prefixes(last_child) -> Iterator[tuple[tuple[int, ...], int, int, int, 
         stack.extend(reversed(children))
 
 
-def capped_child_ranges(n: int, digit_cap: int):
-    """The order-n prefixes with all digits <= digit_cap, one run at a time.
-
-    Yields ``(prefix, prod, value_num, err_num, first, hi)`` for each order
-    n-1 prefix that has such a child, with the numerators of
-    ``walk_prefixes``; its children are prefix + (d,) for d = first .. hi,
-    so the runs come in lexicographic order of the order-n prefixes.
-    """
-
-    def last_child(k, last, prod):
-        return digit_cap if k < n else 0
-
-    for prefix, prod, value_num, err_num, hi in walk_prefixes(last_child):
-        if len(prefix) == n - 1:
-            yield prefix, prod, value_num, err_num, (prefix[-1] + 1 if prefix else 1), hi
-
-
 def enumerate_prefixes(
     n: int,
     max_product: "int | None" = None,
@@ -398,22 +385,23 @@ def enumerate_prefixes(
 ) -> Iterator[tuple[int, ...]]:
     """All strictly increasing n-tuples of positive integers under a bound.
 
-    Yields each cylinder prefix exactly once, in lexicographic order.  At
+    Iterates over each cylinder prefix once, in lexicographic order.  At
     least one of ``max_product`` / ``max_digit`` is required, otherwise the
-    enumeration would be infinite.
+    enumeration would be infinite.  A digit bound alone is
+    ``itertools.combinations``; a product bound walks the prefix tree.
     """
     if n < 1:
         raise DomainError("prefix order must be >= 1")
     if max_product is None and max_digit is None:
         raise DomainError("need max_product or max_digit to keep the enumeration finite")
+    if max_product is None:
+        return combinations(range(1, max_digit + 1), n)
 
     def last_child(k, last, prod):
         # d is kept while d <= max_digit and the cheapest completion
         # d (d+1) ... (d+n-k-1) keeps the product within max_product
         if k >= n:
             return 0
-        if max_product is None:
-            return max_digit
         if k == n - 1:
             hi = max_product // prod
             return hi if max_digit is None else min(hi, max_digit)
@@ -424,6 +412,9 @@ def enumerate_prefixes(
             d += 1
         return d
 
-    for prefix, _, _, _, hi in walk_prefixes(last_child):
-        if len(prefix) == n - 1:
-            yield from (prefix + (d,) for d in range(prefix[-1] + 1 if prefix else 1, hi + 1))
+    return (
+        prefix + (d,)
+        for prefix, _, _, _, hi in walk_prefixes(last_child)
+        if len(prefix) == n - 1
+        for d in range(prefix[-1] + 1 if prefix else 1, hi + 1)
+    )

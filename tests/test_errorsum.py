@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from piercesum import (
@@ -19,6 +19,7 @@ from piercesum import (
     estar_digits,
     esum,
     esum_stream,
+    evaluate_digits,
     expand,
     hat_prime,
     interval_length,
@@ -27,6 +28,7 @@ from piercesum import (
     phi,
     preimage_pair,
     recursion_check,
+    shift_power,
 )
 
 # 2/e - 1 to 35 digits, from an independent high-precision evaluation
@@ -255,6 +257,18 @@ class TestOscillation:
         assert oscillation(prefix) == len(prefix) * interval_length(prefix)
 
 
+def recursion_rhs_oracle(x, n):
+    """The right side of the recursion identity, one Fraction partial sum per k."""
+    digits = expand(x)
+    rhs = F(0)
+    for k in range(1, n + 1):
+        rhs += x - evaluate_digits(digits[:k])
+    if n <= len(digits):
+        tail_value = estar_digits(expand(shift_power(x, n)))
+        rhs += F((-1) ** n, math.prod(digits[:n])) * tail_value
+    return rhs
+
+
 class TestRecursion:
     @pytest.mark.parametrize("x,n", [(F(3, 8), 1), (F(3, 8), 2), (F(0), 3)])
     def test_examples(self, x, n):
@@ -263,6 +277,20 @@ class TestRecursion:
     @given(unit_rationals, st.integers(min_value=1, max_value=10))
     @settings(max_examples=300)
     def test_holds_everywhere(self, x, n):
+        assert recursion_check(x, n)
+
+    @given(unit_rationals, st.integers(min_value=1, max_value=12))
+    @example(F(0), 1)
+    @example(F(1), 4)
+    @example(F(3, 8), 5)  # digits (2, 4): n past the expansion
+    @example(F(12345, 67891), 7)
+    @example(F(86243, 98765), 9)  # nine digits: n at the expansion length
+    @example(F(86243, 98765), 12)
+    @settings(max_examples=300)
+    def test_running_sum_matches_the_per_k_oracle(self, x, n):
+        # recursion_check holds exactly when its running right side equals
+        # E(x), so both holding makes the two right sides equal
+        assert recursion_rhs_oracle(x, n) == esum(x)
         assert recursion_check(x, n)
 
 

@@ -10,21 +10,25 @@ from hypothesis import strategies as st
 
 from piercesum import (
     CoverSum,
+    PierceSeq,
     box_count_empirical,
     calibrate_product_bound,
     cylinder_extrema,
     enumerate_prefixes,
+    estar_by_definition,
     estar_digits,
     evaluate_digits,
     hausdorff_cover_sum,
     oscillation,
     partition,
+    phi,
     variation_over_partition,
 )
 from piercesum.analysis import _qualifying_children, _run_end
 from piercesum.certify import iroot, pow_enclosure
+from piercesum.core import digit_numerators
 from piercesum.intervals import interval_length, residual_mass
-from piercesum.sequences import capped_child_ranges, walk_prefixes
+from piercesum.sequences import walk_prefixes
 
 
 def box_count_oracle(epsilon, sample_depth=None):
@@ -170,6 +174,7 @@ def test_walk_numerators_match_the_digit_kernels():
         return 7 if k < 3 else 0
 
     for prefix, prod, value_num, err_num, hi in walk_prefixes(last_child):
+        assert digit_numerators(prefix) == (prod, value_num, err_num)
         assert prod == math.prod(prefix) and hi == 7
         assert F(value_num, prod) == evaluate_digits(prefix)
         assert F(err_num, prod) == estar_digits(prefix)
@@ -208,15 +213,17 @@ def test_variation_matches_the_partition_oracle(n):
         assert rep.residual_mass == partition(n, cap).residual and rep.total == n
 
 
-@pytest.mark.parametrize("n,cap", [(1, 1), (1, 6), (2, 6), (3, 7), (4, 4), (4, 3)])
-def test_capped_child_ranges_cover_the_order_n_prefixes(n, cap):
-    got = []
-    for prefix, prod, value_num, err_num, first, hi in capped_child_ranges(n, cap):
-        assert len(prefix) == n - 1 and prod == math.prod(prefix)
-        assert F(value_num, prod) == evaluate_digits(prefix)
-        assert F(err_num, prod) == estar_digits(prefix)
-        got.extend(prefix + (d,) for d in range(first, hi + 1))
-    assert got == list(combinations(range(1, cap + 1), n))
+@given(st.lists(st.integers(min_value=1, max_value=40), max_size=7, unique=True))
+@example([])
+@example([1, 2])
+@settings(max_examples=300, deadline=None)
+def test_digit_numerators_match_the_definitions(digits):
+    prefix = tuple(sorted(digits))
+    prod, value_num, err_num = digit_numerators(prefix)
+    assert prod == math.prod(prefix)
+    series = sum((F((-1) ** k, math.prod(prefix[: k + 1])) for k in range(len(prefix))), F(0))
+    assert F(value_num, prod) == series == phi(PierceSeq(prefix)).lo
+    assert F(err_num, prod) == estar_by_definition(PierceSeq(prefix)).lo
 
 
 @pytest.mark.parametrize("n,cap", [(1, 10), (2, 8), (3, 9), (4, 8)])

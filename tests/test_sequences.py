@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from piercesum import (
@@ -216,6 +216,18 @@ class TestRhoSeq:
         assert gap <= 2 * rho_seq(a, b).lo
 
 
+signed_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=60)
+# shift 0 keeps an enclosure nonnegative, the other shifts make it signed or negative
+enclosures = st.builds(
+    lambda t, shift: Enclosure(min(t) + shift, max(t) + shift),
+    st.tuples(
+        st.fractions(min_value=0, max_value=5, max_denominator=60),
+        st.fractions(min_value=0, max_value=5, max_denominator=60),
+    ),
+    st.sampled_from([0, -3, F(-1, 7)]),
+)
+
+
 class TestEnclosure:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -227,6 +239,18 @@ class TestEnclosure:
         assert (a * b).lo == -6 and (a * b).hi == 10
         assert a.reciprocal().lo == F(1, 2)
         assert b.power(2).contains(F(9))  # endpoints squared straddle zero
+
+    @given(enclosures, enclosures | signed_fractions)
+    @example(Enclosure(F(0), F(2)), Enclosure(F(0), F(3)))  # both start at zero
+    @example(Enclosure(F(0), F(2)), Enclosure(F(-1), F(3)))  # one straddles zero
+    @example(Enclosure(F(1), F(2)), Enclosure(F(-3), F(-1)))  # one negative
+    @example(Enclosure(F(1, 3), F(1, 2)), F(-2))  # a negative scalar
+    @example(Enclosure(F(1, 3), F(1, 2)), 3)  # an int scalar
+    @settings(max_examples=300)
+    def test_product_is_the_hull_of_the_endpoint_products(self, a, b):
+        other = b if isinstance(b, Enclosure) else Enclosure.exact(b)
+        products = [x * y for x in (a.lo, a.hi) for y in (other.lo, other.hi)]
+        assert a * b == b * a == Enclosure(min(products), max(products))
 
     def test_power_equals_repeated_product(self):
         for enc in (Enclosure(F(0), F(3, 2)), Enclosure(F(2, 7), F(5, 3)), Enclosure(F(-3), F(5))):
