@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .certify import exp_enclosure, iroot, log_enclosure, pow_enclosure
 from .core import DepthOverflowError, DomainError, Rat, as_rational
 from .errorsum import cylinder_extrema, esum
@@ -29,6 +27,10 @@ class ResourceLimitError(RuntimeError):
 
 class DegenerateFitError(ValueError):
     """A regression input carries no usable signal."""
+
+
+SERIES_TERMS = 48  # first term count of the e^x and log enclosures; retries double it
+COVER_SCALE = 10**18  # fixed-point scale of the cover-sum root brackets
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +324,11 @@ class CoverSum:
         return self.capped_upper + self.tail_bound
 
 
-def hausdorff_cover_sum(n: int, s, digit_cap: int, scale: int = 10**18) -> CoverSum:
+def hausdorff_cover_sum(n: int, s, digit_cap: int) -> CoverSum:
     """Cover sum for the order-n box covering of the graph, exponent s >= 1.
 
     Fractional powers of rationals are irrational, so each term is
-    bracketed by integer-root bounds at the given fixed-point scale and the
+    bracketed by integer-root bounds at scale COVER_SCALE and the
     brackets are summed as integers.  The omitted prefixes contribute at
     most (sqrt(n^2+1) * max omitted length)^(s-1) times their total length,
     which telescopes exactly.
@@ -338,7 +340,7 @@ def hausdorff_cover_sum(n: int, s, digit_cap: int, scale: int = 10**18) -> Cover
         raise DomainError("exponent must be >= 1")
     if digit_cap < n:
         raise DomainError(f"digit cap {digit_cap} cannot host an order-{n} prefix")
-    p, q = s.numerator, s.denominator
+    p, q, scale = s.numerator, s.denominator, COVER_SCALE
     diam_sq = n * n + 1  # diameter^2 = (n^2+1) * length^2
 
     # an order-n prefix ending in d has length exactly 1/L, L = prod * d(d+1)
@@ -402,7 +404,7 @@ class CoverReport:
         )
 
 
-def lambda_cover_counts(M, terms: int = 48) -> CoverReport:
+def lambda_cover_counts(M) -> CoverReport:
     """Per-group square counts a_k and their total for the covering proof.
 
     Requires M > n(M) (true once M >= 8.6 or so); smaller M breaks the
@@ -414,7 +416,7 @@ def lambda_cover_counts(M, terms: int = 48) -> CoverReport:
         raise DomainError("M must be positive")
 
     for attempt in range(6):
-        eM = exp_enclosure(M, terms << attempt)
+        eM = exp_enclosure(M, SERIES_TERMS << attempt)
         n, fact = 1, 1  # smallest n with n! >= e^M
         while fact < eM.hi:
             n += 1
@@ -429,7 +431,7 @@ def lambda_cover_counts(M, terms: int = 48) -> CoverReport:
         )
 
     for attempt in range(6):
-        t = terms << attempt
+        t = SERIES_TERMS << attempt
         eM = exp_enclosure(M, t)
         a = [Enclosure.exact(1)]
         for k in range(2, n + 2):
@@ -548,7 +550,7 @@ class SlopeFit:
 
 
 def dimension_slope(points) -> SlopeFit:
-    """Fit log(count) against log(1/eps); the slope estimates the dimension."""
+    """Fit log(count) on log(1/eps) exactly, rounded once; the slope estimates the dimension."""
     pts = [(as_rational(e), int(c)) for e, c in points]
     if len(pts) < 3:
         raise DegenerateFitError("need at least 3 scales for a slope")
@@ -558,14 +560,14 @@ def dimension_slope(points) -> SlopeFit:
         raise DegenerateFitError("counts must be positive")
     if len({c for _, c in pts}) == 1:
         raise DegenerateFitError("all counts equal: no scaling signal to fit")
-    xs = np.array([-math.log(e) for e, _ in pts])
-    ys = np.array([math.log(c) for _, c in pts])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    return SlopeFit(
-        points=tuple(zip(xs.tolist(), ys.tolist())),
-        slope=float(slope),
-        intercept=float(intercept),
-    )
+    xs = [-math.log(e) for e, _ in pts]
+    ys = [math.log(c) for _, c in pts]
+    if len(set(xs)) == 1:
+        raise DegenerateFitError("scales too close to tell apart in floating point")
+    X, Y = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    mx, my = sum(X) / len(X), sum(Y) / len(Y)
+    slope = sum((x - mx) * (y - my) for x, y in zip(X, Y)) / sum((x - mx) ** 2 for x in X)
+    return SlopeFit(tuple(zip(xs, ys)), float(slope), float(my - slope * mx))
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +589,7 @@ class CountReport:
 
 
 def count_bounded_products(
-    p: int, m: int, increasing: bool = False, budget: int = 10**8, terms: int = 48
+    p: int, m: int, increasing: bool = False, budget: int = 10**8
 ) -> CountReport:
     """Exhaustive sequence counts against their analytic bounds.
 
@@ -619,21 +621,21 @@ def count_bounded_products(
             f = {c: sum(run * (1 + f[q]) for q, run in runs(c)) for c in states}
         count = f[p]
 
-    base = Enclosure.exact(2) + log_enclosure(p, terms) if p > 1 else Enclosure.exact(2)
+    base = Enclosure.exact(2) + log_enclosure(p, SERIES_TERMS) if p > 1 else Enclosure.exact(2)
     bound = p * base.power(m - 1)
     if increasing:
         bound = bound * Fraction(1, math.factorial(m))
     return CountReport(p, m, increasing, count, bound.round_outward())
 
 
-def factorial_bounds_check(n: int, terms: int = 48) -> bool:
+def factorial_bounds_check(n: int) -> bool:
     """Certify n^n / e^(n-1) <= n! <= n^(n+1) / e^(n-1) in exact arithmetic."""
     if n < 1:
         raise DomainError("n must be >= 1")
     fact = math.factorial(n)
     lower, upper = n**n, n ** (n + 1)
     for attempt in range(6):
-        e_pow = exp_enclosure(n - 1, terms << attempt)
+        e_pow = exp_enclosure(n - 1, SERIES_TERMS << attempt)
         lower_ok = lower <= fact * e_pow.lo
         lower_bad = lower > fact * e_pow.hi
         upper_ok = fact * e_pow.hi <= upper

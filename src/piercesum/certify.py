@@ -44,10 +44,6 @@ def root_enclosure(x, k: int, scale: int = 10**30) -> Enclosure:
     return Enclosure(Fraction(lo, scale), Fraction(lo + 1, scale))
 
 
-def sqrt_enclosure(x, scale: int = 10**30) -> Enclosure:
-    return root_enclosure(x, 2, scale)
-
-
 def pow_enclosure(x, exponent, scale: int = 10**30) -> Enclosure:
     """Enclosure of x^s for rational x >= 0 and rational s >= 0."""
     x = as_rational(x)

@@ -1,8 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piercesum import (
     DegenerateFitError,
@@ -29,7 +35,7 @@ from piercesum import (
 )
 from piercesum import analysis
 from piercesum.analysis import INTEGRAL_MAX_GRID, INTEGRAL_SCALE, _grid_total
-from piercesum.certify import exp_enclosure, iroot, sqrt_enclosure
+from piercesum.certify import exp_enclosure, iroot, root_enclosure
 
 
 def _esum_floor_scaled(p: int, q: int, scale: int) -> int:
@@ -334,7 +340,7 @@ class TestHausdorffCoverSum:
     def test_exponent_one_reproduces_mass_identity(self):
         # at s = 1 the sum telescopes to sqrt(n^2+1) * (full mass) = sqrt(5)
         cover = hausdorff_cover_sum(2, 1, 30)
-        diam = sqrt_enclosure(5)
+        diam = root_enclosure(5, 2)
         assert cover.capped_lower + diam.lo * cover.residual_mass <= diam.hi
         assert cover.upper >= diam.lo
 
@@ -437,6 +443,54 @@ class TestDimensionSlope:
     def test_small_sweep_lands_near_one(self):
         fit = dimension_slope(box_count_sweep([F(1, 2**k) for k in range(4, 9)]))
         assert 0.7 < fit.slope < 1.4
+
+    def test_scales_equal_as_floats_degenerate(self):
+        # distinct scales whose float logs coincide leave no x spread to fit
+        eps = [F(1, 2) + F(k, 10**30) for k in (3, 2, 1)]
+        with pytest.raises(DegenerateFitError):
+            dimension_slope(zip(eps, [2, 4, 8]))
+
+    def test_golden_sweep_matches_exact_oracle(self):
+        counts = [160, 336, 721, 1518, 3179, 6645]  # box counts at 2^-6 .. 2^-11
+        points = [(F(1, 2**k), c) for k, c in zip(range(6, 12), counts)]
+        fit = dimension_slope(points)
+        assert (fit.slope, fit.intercept) == slope_oracle(points)
+        assert (fit.slope, fit.intercept) == (1.0765956345038048, 0.6009690568105611)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=200), min_size=3, max_size=9, unique=True),
+        st.lists(st.integers(min_value=1, max_value=10**12), min_size=9, max_size=9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_oracle(self, pows, counts):
+        counts = counts[: len(pows)]
+        if len(set(counts)) == 1:
+            counts[0] += 1
+        points = [(F(1, 2**k), c) for k, c in zip(sorted(pows), counts)]
+        fit = dimension_slope(points)
+        assert (fit.slope, fit.intercept) == slope_oracle(points)
+
+    def test_import_loads_no_numpy(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        )
+        code = "import piercesum, piercesum.cli, sys; assert 'numpy' not in sys.modules"
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+
+
+def slope_oracle(points):
+    """Least-squares slope and intercept of the float logs by the closed form, in Fractions."""
+    xs = [F(-math.log(e)) for e, _ in points]
+    ys = [F(math.log(c)) for _, c in points]
+    n, sx, sy = len(xs), sum(xs), sum(ys)
+    sxx, sxy = sum(x * x for x in xs), sum(x * y for x, y in zip(xs, ys))
+    slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
+    return float(slope), float((sy - slope * sx) / n)
 
 
 def brute_sequences(p, m):

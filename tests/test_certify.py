@@ -11,7 +11,6 @@ from piercesum.certify import (
     log_enclosure,
     pow_enclosure,
     root_enclosure,
-    sqrt_enclosure,
 )
 from piercesum.core import DomainError
 
@@ -91,7 +90,7 @@ class TestRoots:
         assert enc.hi**k >= x
 
     def test_sqrt_known_value(self):
-        enc = sqrt_enclosure(F(1, 4))
+        enc = root_enclosure(F(1, 4), 2)
         assert enc.lo <= F(1, 2) <= enc.hi and enc.width <= F(2, 10**30)
 
     def test_pow_fractional(self):

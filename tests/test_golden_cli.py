@@ -45,8 +45,8 @@ GOLDEN = {
     ),
     "dimension": (
         ["dimension", "--pow-min", "6", "--pow-max", "11"],
-        534,
-        "e8ce06a7f643e4c4f7821931b0f354ffbabafd6cc2ef2b9c543fe5fe60537903",
+        536,
+        "446693b1ec1294dfe87cd223c01654a613767c275eefc866035baa41b2cf1c60",
     ),
     "ivt": (
         ["ivt", "--a", "9/25", "--b", "39/100", "--y=-1/10", "--tol", "1/1000000"],

@@ -24,6 +24,7 @@ from piercesum import (
     phi,
     variation_over_partition,
 )
+from piercesum import analysis
 from piercesum.analysis import _qualifying_children, _run_end
 from piercesum.certify import iroot, pow_enclosure
 from piercesum.core import digit_numerators
@@ -140,7 +141,9 @@ def cover_sum_oracle(n, s, digit_cap, scale):
 @settings(max_examples=60, deadline=None)
 def test_cover_sum_matches_the_per_prefix_oracle(order_cap, s, scale):
     n, cap = order_cap
-    assert hausdorff_cover_sum(n, s, cap, scale) == cover_sum_oracle(n, s, cap, scale)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "COVER_SCALE", scale)
+        assert hausdorff_cover_sum(n, s, cap) == cover_sum_oracle(n, s, cap, scale)
 
 
 def test_box_count_oracle_counts_the_seed_pins():
