@@ -327,11 +327,14 @@ class CoverSum:
 def hausdorff_cover_sum(n: int, s, digit_cap: int) -> CoverSum:
     """Cover sum for the order-n box covering of the graph, exponent s >= 1.
 
-    Fractional powers of rationals are irrational, so each term is
-    bracketed by integer-root bounds at scale COVER_SCALE and the
-    brackets are summed as integers.  The omitted prefixes contribute at
-    most (sqrt(n^2+1) * max omitted length)^(s-1) times their total length,
-    which telescopes exactly.
+    A term depends only on its interval length, so the prefixes are
+    grouped by length through a table of subset digit products, and the
+    cost grows with the number of distinct lengths.  Fractional powers of
+    rationals are irrational, so each length's term is bracketed by one
+    floor root at scale COVER_SCALE, and the brackets, times the length's
+    multiplicity, are summed as integers.  The omitted prefixes contribute
+    at most (sqrt(n^2+1) * max omitted length)^(s-1) times their total
+    length, which telescopes exactly.
     """
     s = as_rational(s)
     if n < 1:
@@ -344,20 +347,26 @@ def hausdorff_cover_sum(n: int, s, digit_cap: int) -> CoverSum:
     diam_sq = n * n + 1  # diameter^2 = (n^2+1) * length^2
 
     # an order-n prefix ending in d has length exactly 1/L, L = prod * d(d+1)
-    # with prod the product of its first n-1 digits, so terms depend on L only
+    # with prod the product of its first n-1 digits, so terms depend on L only;
+    # layers[j] counts the digit products of the j-subsets of 1..d-1
+    layers = [Counter({1: 1})] + [Counter() for _ in range(n - 1)]
     multiplicity = Counter()
-    for prefix in combinations(range(1, digit_cap), n - 1):
-        prod = math.prod(prefix)
-        first = prefix[-1] + 1 if prefix else 1
-        multiplicity.update(prod * d * (d + 1) for d in range(first, digit_cap + 1))
+    for d in range(1, digit_cap + 1):
+        for prod, mult in layers[n - 1].items():
+            multiplicity[prod * d * (d + 1)] += mult
+        for j in range(min(n - 1, d), 0, -1):
+            for prod, mult in layers[j - 1].items():
+                layers[j][prod * d] += mult
 
-    # each term is ((n^2+1)^p / L^(2p)) ^ (1/(2q)), scaled, bracketed by roots
+    # each term is ((n^2+1)^p / L^(2p)) ^ (1/(2q)), scaled and bracketed by one
+    # floor root r: the root of shifted+1 is r+1 if (r+1)^(2q) = shifted+1, else r
     numerator = diam_sq**p * scale ** (2 * q)
     lo_total = hi_total = 0
     for L, mult in multiplicity.items():
         shifted = numerator // L ** (2 * p)
-        lo_total += mult * iroot(shifted, 2 * q)
-        hi_total += mult * (iroot(shifted + 1, 2 * q) + 1)
+        root = iroot(shifted, 2 * q)
+        lo_total += mult * root
+        hi_total += mult * (root + 2 if (root + 1) ** (2 * q) == shifted + 1 else root + 1)
     residual = residual_mass(n, digit_cap)
 
     # every omitted interval has some digit > cap, so its length is at most
@@ -396,12 +405,6 @@ class CoverReport:
     a: tuple[Enclosure, ...]
     total_bound: int
     chain_holds: bool
-    empirical_count: "int | None" = None
-
-    def with_empirical(self, count: int) -> "CoverReport":
-        return CoverReport(
-            self.M, self.epsilon, self.n, self.a, self.total_bound, self.chain_holds, count
-        )
 
 
 def lambda_cover_counts(M) -> CoverReport:
@@ -560,7 +563,11 @@ def dimension_slope(points) -> SlopeFit:
         raise DegenerateFitError("counts must be positive")
     if len({c for _, c in pts}) == 1:
         raise DegenerateFitError("all counts equal: no scaling signal to fit")
-    xs = [-math.log(e) for e, _ in pts]
+    # math.log(e) goes through float(e), which underflows to 0.0 below about 2^-1074
+    xs = [
+        -math.log(e) if float(e) else math.log(e.denominator) - math.log(e.numerator)
+        for e, _ in pts
+    ]
     ys = [math.log(c) for _, c in pts]
     if len(set(xs)) == 1:
         raise DegenerateFitError("scales too close to tell apart in floating point")
@@ -635,7 +642,7 @@ def factorial_bounds_check(n: int) -> bool:
     fact = math.factorial(n)
     lower, upper = n**n, n ** (n + 1)
     for attempt in range(6):
-        e_pow = exp_enclosure(n - 1, SERIES_TERMS << attempt)
+        e_pow = exp_enclosure(1, SERIES_TERMS << attempt).power(n - 1)
         lower_ok = lower <= fact * e_pow.lo
         lower_bad = lower > fact * e_pow.hi
         upper_ok = fact * e_pow.hi <= upper

@@ -9,6 +9,7 @@ raise until a comparison decides.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .core import DomainError, Rat, as_rational
@@ -16,11 +17,18 @@ from .sequences import Enclosure
 
 
 def iroot(n: int, k: int) -> int:
-    """Floor k-th root of a non-negative int, by Newton iteration."""
+    """Floor k-th root of a non-negative int.
+
+    Floor roots nest: floor(floor(n^(1/a))^(1/b)) = floor(n^(1/ab)).  So each
+    factor 2 of k is taken by math.isqrt, and Newton iteration finds the
+    root for the odd index that is left.
+    """
     if n < 0:
         raise DomainError("iroot needs a non-negative integer")
     if k < 1:
         raise DomainError("root index must be >= 1")
+    while k % 2 == 0:
+        n, k = math.isqrt(n), k // 2
     if n == 0 or k == 1:
         return n
     x = 1 << (n.bit_length() // k + 1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 Rat = Fraction
 
@@ -185,11 +185,6 @@ class DigitStream:
         """Rule d_n = n!."""
         return cls("factorial", ())
 
-    @classmethod
-    def from_rule(cls, rule: Callable[[int], int], name: str = "custom") -> "DigitStream":
-        """Arbitrary callable rule; compared by identity of the callable."""
-        return cls("custom", (name, rule))
-
     def digit(self, n: int) -> int:
         """Digit at 1-based position n; raises IndexError past a finite table."""
         if n < 1:
@@ -201,12 +196,7 @@ class DigitStream:
         if self.kind == "arithmetic":
             a, b = self.params
             return a * n + b
-        if self.kind == "factorial":
-            return math.factorial(n)
-        d = self.params[1](n)
-        if not isinstance(d, int) or d < 1:
-            raise DomainError(f"custom rule emitted {d!r} at position {n}, need a positive int")
-        return d
+        return math.factorial(n)
 
     @property
     def length(self) -> "int | None":

@@ -21,7 +21,6 @@ from .core import (
     DomainError,
     Rat,
     evaluate_digits,
-    expand,
 )
 
 #: Default truncation depth for stream-backed sequences.  The tail bounds
@@ -154,11 +153,6 @@ class PierceSeq:
         object.__setattr__(self, "prefix", _check_prefix(self.prefix))
         if self.tail is not None and self.tail.length == 0:
             object.__setattr__(self, "tail", None)
-
-    @classmethod
-    def from_rational(cls, x) -> "PierceSeq":
-        """The digit-sequence map from [0, 1] into the sequence space."""
-        return cls(expand(x))
 
     @classmethod
     def from_stream(cls, stream: DigitStream) -> "PierceSeq":

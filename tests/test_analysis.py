@@ -470,6 +470,13 @@ class TestDimensionSlope:
         fit = dimension_slope(points)
         assert (fit.slope, fit.intercept) == slope_oracle(points)
 
+    def test_scales_below_the_float_range(self):
+        # 2^-1100 and 2^-1200 are 0.0 as floats; their logs come from the integers
+        pows = (1000, 1100, 1200)
+        fit = dimension_slope([(F(1, 2**k), c) for k, c in zip(pows, (5, 9, 20))])
+        assert math.isfinite(fit.slope) and math.isfinite(fit.intercept)
+        assert [x for x, _ in fit.points] == pytest.approx([k * math.log(2) for k in pows])
+
     def test_import_loads_no_numpy(self):
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
@@ -559,6 +566,26 @@ class TestFactorialBounds:
         # 5^5/e^4 = 57.2... <= 120 <= 5^6/e^4 = 286.2...
         e4 = exp_enclosure(4)
         assert F(5**5) / e4.lo <= 120 <= F(5**6) / e4.hi
+
+    def test_matches_the_per_n_series_oracle(self):
+        terms = analysis.SERIES_TERMS
+        for n in range(1, 81):
+            slow = exp_enclosure(n - 1, terms)
+            fast = exp_enclosure(1, terms).power(n - 1)
+            assert max(slow.lo, fast.lo) <= min(slow.hi, fast.hi)
+            assert factorial_bounds_check(n) == factorial_bounds_oracle(n)
+
+
+def factorial_bounds_oracle(n):
+    """The factorial bound check with e^(n-1) from its own halved-and-squared series."""
+    fact, lower, upper = math.factorial(n), n**n, n ** (n + 1)
+    for attempt in range(6):
+        e_pow = exp_enclosure(n - 1, analysis.SERIES_TERMS << attempt)
+        if lower > fact * e_pow.hi or fact * e_pow.lo > upper:
+            return False
+        if lower <= fact * e_pow.lo and fact * e_pow.hi <= upper:
+            return True
+    raise ResourceLimitError(f"undecided at n={n}")
 
 
 def test_empirical_counts_stay_under_theoretical_bound():

@@ -16,7 +16,7 @@ from piercesum.core import DomainError
 
 
 class TestIroot:
-    @given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=1, max_value=7))
+    @given(st.integers(min_value=0, max_value=2**4000), st.integers(min_value=1, max_value=16))
     @settings(max_examples=300)
     def test_floor_root_definition(self, n, k):
         r = iroot(n, k)
@@ -25,6 +25,15 @@ class TestIroot:
     def test_perfect_powers(self):
         assert iroot(7**6, 6) == 7
         assert iroot(7**6 - 1, 6) == 6
+
+    @given(st.integers(min_value=1, max_value=2**250), st.sampled_from([2, 4, 6, 8, 12, 16]))
+    @settings(max_examples=200)
+    def test_perfect_power_edges_at_even_index(self, m, k):
+        # the halving steps floor the argument; the edges of m^k must survive them
+        assert iroot(m**k, k) == m
+        assert iroot(m**k - 1, k) == m - 1
+        assert iroot(m**k + 1, k) == m
+        assert iroot((m + 1) ** k - 1, k) == m
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):

@@ -26,7 +26,6 @@ from piercesum import (
 )
 from piercesum import analysis
 from piercesum.analysis import _qualifying_children, _run_end
-from piercesum.certify import iroot, pow_enclosure
 from piercesum.core import digit_numerators
 from piercesum.intervals import interval_length, residual_mass
 from piercesum.sequences import walk_prefixes
@@ -110,23 +109,33 @@ def test_run_end_matches_a_brute_force_scan(c, ratio, da, offset, db, d0):
     assert _run_end(a, b, c, i, hi) == end
 
 
+def floor_root(n, k):
+    """Largest r with r**k <= n, by bisection on the integers."""
+    lo, hi = 0, 1 << (n.bit_length() // k + 1)  # hi**k > n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**k <= n else (lo, mid)
+    return lo
+
+
 def cover_sum_oracle(n, s, digit_cap, scale):
-    """Cover sum with one exact length and one pair of root bounds per prefix."""
+    """Cover sum with one exact length and two independent root bounds per prefix."""
     p, q = s.numerator, s.denominator
     diam_sq = n * n + 1
     lo_total = hi_total = 0
     for prefix in combinations(range(1, digit_cap + 1), n):
         base = F(diam_sq) ** p * interval_length(prefix) ** (2 * p)
         shifted = base.numerator * scale ** (2 * q) // base.denominator
-        lo_total += iroot(shifted, 2 * q)
-        hi_total += iroot(shifted + 1, 2 * q) + 1
+        lo_total += floor_root(shifted, 2 * q)
+        hi_total += floor_root(shifted + 1, 2 * q) + 1
     residual = residual_mass(n, digit_cap)
     longest_omitted = F(1, math.factorial(n - 1) * (digit_cap + 1) * (digit_cap + 2))
-    tail = (
-        pow_enclosure(F(diam_sq), s / 2, scale).hi
-        * pow_enclosure(longest_omitted, s - 1, scale).hi
-        * residual
-    )
+
+    def pow_hi(x, e):  # upper end of the floor-root bracket of x^e at this scale
+        shifted = math.floor(x**e.numerator * scale**e.denominator)
+        return F(floor_root(shifted, e.denominator) + 1, scale)
+
+    tail = pow_hi(F(diam_sq), s / 2) * pow_hi(longest_omitted, s - 1) * residual
     return CoverSum(n, s, digit_cap, F(lo_total, scale), F(hi_total, scale), tail, residual)
 
 
