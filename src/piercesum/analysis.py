@@ -348,13 +348,14 @@ def hausdorff_cover_sum(n: int, s, digit_cap: int) -> CoverSum:
 
     # an order-n prefix ending in d has length exactly 1/L, L = prod * d(d+1)
     # with prod the product of its first n-1 digits, so terms depend on L only;
-    # layers[j] counts the digit products of the j-subsets of 1..d-1
+    # layers[j] counts the digit products of the j-subsets of 1..d-1; a j-subset
+    # taking d still reaches n-1 digits below the cap only if j >= n - cap + d
     layers = [Counter({1: 1})] + [Counter() for _ in range(n - 1)]
     multiplicity = Counter()
     for d in range(1, digit_cap + 1):
         for prod, mult in layers[n - 1].items():
             multiplicity[prod * d * (d + 1)] += mult
-        for j in range(min(n - 1, d), 0, -1):
+        for j in range(min(n - 1, d), max(0, n - digit_cap + d - 1), -1):
             for prod, mult in layers[j - 1].items():
                 layers[j][prod * d] += mult
 
@@ -497,6 +498,31 @@ def _run_end(a: int, b: int, c: int, i: int, hi: int) -> int:
     return hi
 
 
+def _grid_equivalent(epsilon: Fraction, bound: int) -> tuple[int, int]:
+    """Numerator and denominator of the simplest scale whose grid matches eps's.
+
+    A sample a/b with |a| <= b <= bound changes cell, floor(a Q / b) with
+    Q = 1/eps, only where Q crosses a fraction of denominator at most
+    bound.  If Q's own denominator exceeds bound, its Farey neighbours of
+    that order, found by a Stern-Brocot descent in continued-fraction
+    steps, have none strictly between them, so their mediant (denominator
+    at most 2 bound) cuts every sample where Q does.
+    """
+    en, ed = epsilon.numerator, epsilon.denominator  # Q = ed/en
+    if en <= bound:
+        return en, ed
+    # p0/q0 and p1/q1 are the last two convergents of Q, both denominators <= bound
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = ed, en
+    while q0 + (a := n // d) * q1 <= bound:
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        n, d = d, n - a * d
+    # the neighbours are (p0 + k p1)/(q0 + k q1), k = (bound - q0) // q1, and
+    # p1/q1; their mediant takes k + 1
+    k = (bound - q0) // q1 + 1
+    return q0 + k * q1, p0 + k * p1
+
+
 def box_count_empirical(epsilon, sample_depth: "int | None" = None) -> int:
     """Occupied eps-grid squares over samples of the reflected graph.
 
@@ -506,6 +532,12 @@ def box_count_empirical(epsilon, sample_depth: "int | None" = None) -> int:
     reflected in the x-axis: an isometric copy with the same box-counting
     dimension, though its counts differ slightly from those of the graph
     itself.  Deterministic for fixed inputs.
+
+    Every sample is a/b with |a| <= b <= P, so its cell index floor(a/(b
+    eps)) moves only where 1/eps crosses a fraction of denominator at most
+    P.  The walk therefore runs at the simplest scale that no such fraction
+    separates from eps (see _grid_equivalent): the same cells, on integers
+    of about log2(P) bits whatever the size of eps's own.
     """
     epsilon = as_rational(epsilon)
     P, depth_cap = calibrate_product_bound(epsilon)
@@ -513,7 +545,7 @@ def box_count_empirical(epsilon, sample_depth: "int | None" = None) -> int:
         if sample_depth < 1:
             raise DomainError("sample depth must be >= 1")
         depth_cap = min(depth_cap, sample_depth)
-    en, ed = epsilon.numerator, epsilon.denominator
+    en, ed = _grid_equivalent(epsilon, P)
 
     def last_child(k, last, prod):
         return P // prod if k < depth_cap else 0

@@ -364,21 +364,25 @@ def test_criterion_09_box_dimension_trend():
     fit = dimension_slope(counts)
     slope_ok = 0.8 <= fit.slope <= 1.3
 
-    matched = []
+    matched, lambda_counts = [], []
     for M in (9, 10, 11):
         rep = lambda_cover_counts(M)
         empirical = box_count_empirical(rep.epsilon)
+        lambda_counts.append(empirical)
         matched.append(empirical <= rep.total_bound)
+    # counts at the raw certified eps; the grid-equivalent scale must not move them
+    pinned = lambda_counts == [13745, 39525, 112798]
 
     covers = [hausdorff_cover_sum(n, F(3, 2), 20) for n in range(1, 9)]
     decreasing = all(b.upper < a.upper for a, b in zip(covers, covers[1:]))
 
-    ok = slope_ok and all(matched) and decreasing
+    ok = slope_ok and all(matched) and pinned and decreasing
     report(
         9,
         ok,
-        f"slope {fit.slope:.3f} in [0.8, 1.3]; empirical counts under the "
-        f"theoretical bound at M=9,10,11; cover sums at s=3/2 strictly decrease n=1..8",
+        f"slope {fit.slope:.3f} in [0.8, 1.3]; empirical counts {lambda_counts} under the "
+        f"theoretical bound and as pinned at M=9,10,11; cover sums at s=3/2 strictly "
+        f"decrease n=1..8",
     )
 
 

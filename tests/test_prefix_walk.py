@@ -24,8 +24,8 @@ from piercesum import (
     phi,
     variation_over_partition,
 )
-from piercesum import analysis
-from piercesum.analysis import _qualifying_children, _run_end
+from piercesum import analysis, lambda_cover_counts
+from piercesum.analysis import _grid_equivalent, _qualifying_children, _run_end
 from piercesum.core import digit_numerators
 from piercesum.intervals import interval_length, residual_mass
 from piercesum.sequences import walk_prefixes
@@ -73,9 +73,49 @@ epsilons = st.integers(min_value=3, max_value=4096).flatmap(
 @example(F(7, 6000), 3)
 # a 2001-bit denominator, as the eps of lambda_cover_counts(M) has thousands of bits
 @example(F(3**1262 // 100 + 1, 3**1262), None)
+# 1/eps a hair off a fraction m/a with a <= P: samples sit exactly on grid lines
+@example(1 / (F(1024) - F(1, 2**200)), None)
+@example(1 / (F(1024) + F(1, 2**200)), None)
+@example(1 / (F(1000, 7) - F(1, 2**200)), 3)
+@example(1 / (F(1000, 7) + F(1, 2**200)), 3)
+@example(lambda_cover_counts(9).epsilon, 2)
 @settings(max_examples=40, deadline=None)
 def test_box_count_matches_recursive_oracle(epsilon, sample_depth):
     assert box_count_empirical(epsilon, sample_depth) == box_count_oracle(epsilon, sample_depth)
+
+
+@st.composite
+def bounds_and_inverse_scales(draw):
+    """A bound B <= 300 and Q = 1/eps > 1: random with a huge denominator,
+    2^-200 below or above some m/a with a <= B, or exactly m/a."""
+    bound = draw(st.integers(min_value=1, max_value=300))
+    kind = draw(st.sampled_from(["random", "below", "above", "exact"]))
+    if kind == "random":
+        den = draw(st.integers(min_value=2**40, max_value=2**3000))
+        return bound, F(draw(st.integers(min_value=den + 1, max_value=64 * den)), den)
+    a = draw(st.integers(min_value=1, max_value=bound))
+    m = draw(st.integers(min_value=a + 1, max_value=64 * a))
+    return bound, F(m, a) + {"below": -1, "above": 1, "exact": 0}[kind] * F(1, 2**200)
+
+
+@given(bounds_and_inverse_scales())
+@example((1, F(3, 2)))
+@example((300, F(9001, 300) - F(1, 2**200)))
+@example((300, F(9001, 300)))
+@settings(max_examples=300, deadline=None)
+def test_grid_equivalent_scale_matches_a_farey_oracle(bound_and_inv):
+    bound, inv = bound_and_inv  # inv = 1/eps
+    en, ed = _grid_equivalent(1 / inv, bound)
+    if inv.denominator <= bound:
+        assert (en, ed) == (inv.denominator, inv.numerator)
+        return
+    inv_new = F(ed, en)
+    assert inv_new.denominator <= 2 * bound
+    # the fractions p/q, q <= bound, nearest 1/eps on each side bound all the others
+    for q in range(1, bound + 1):
+        p = math.floor(q * inv)
+        for cand in (F(p, q), F(p + 1, q)):
+            assert cand != inv_new and (cand < inv) == (cand < inv_new)
 
 
 def cell_index(a, b, c, d):
