@@ -31,6 +31,7 @@ class DegenerateFitError(ValueError):
 
 SERIES_TERMS = 48  # first term count of the e^x and log enclosures; retries double it
 COVER_SCALE = 10**18  # fixed-point scale of the cover-sum root brackets
+IVT_MAX_NODES = 10**6  # nodes one ivt_root call may pop; typical calls pop a handful
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +196,16 @@ class RootBracket:
 def _qualifying_children(prefix, prod, err_num, y):
     """Digits k extending ``prefix`` whose cylinder still brackets y.
 
-    ``err_num`` is the prefix's E* numerator over its digit product
-    ``prod``.  The child ranges are explicit in k: for odd order they span
-    [E - n/(Pk), E - n/(Pk) + (n+1)/(Pk(k+1))], mirrored for even order.
-    Bracketing y therefore needs k <= n/(P delta) together with the
+    ``err_num`` is the prefix's E* numerator over its digit product P =
+    ``prod``; delta > 0 is how far y lies from that E* value on the side
+    the children reach.  The child ranges are explicit in k: for odd order
+    they span [E - n/(Pk), E - n/(Pk) + (n+1)/(Pk(k+1))], mirrored for even
+    order.  Bracketing y therefore needs k <= n/(P delta) together with the
     quadratic (P delta)k^2 + (P delta - n)k + 1 >= 0, which holds outside
-    its root interval.  The high branch starts near n/(P delta), so only a
-    handful of candidates exist; each is verified by integer comparisons
-    from the parent's numerators, over the common denominator Pk(k+1).
+    its root interval.  In units of y's denominator q, pd = P delta q is an
+    integer, k <= nq/pd and pd k^2 + (pd - nq)k + q >= 0.  The high branch
+    starts near nq/pd, so only a handful of candidates exist; each is
+    verified by integer comparisons over the common denominator Pk(k+1).
 
     The low branch (k at most the smaller root) holds only k <= 2.  With
     x = P delta <= n (else k_hi < 1), the smaller root is
@@ -212,32 +215,31 @@ def _qualifying_children(prefix, prod, err_num, y):
     < 3.  So the window first .. min(2, k_hi) covers the low branch.
     """
     n = len(prefix)
-    pd = (err_num - prod * y) if n % 2 == 1 else (prod * y - err_num)  # P delta
+    yn, yd = y.numerator, y.denominator
+    pd = (err_num * yd - prod * yn) if n % 2 == 1 else (prod * yn - err_num * yd)
     if pd <= 0:
         return []
-    k_hi = int(n / pd)  # floor of n/(P delta)
+    nq = n * yd
+    k_hi = nq // pd
     first = prefix[-1] + 1
     if k_hi < first:
         return []
-    alpha, beta = pd, pd - n
-    disc = beta * beta - 4 * alpha
+    beta = pd - nq
+    disc = beta * beta - 4 * pd * yd
     if disc < 0:
         # quadratic positive everywhere; k_hi is at most ~6 here
         candidates = range(first, k_hi + 1)
     else:
         # low branch: k <= smaller root < 3; high branch: k >= larger
-        # root, conservatively floored via an integer sqrt lower bound
-        sqrt_lo = Fraction(iroot(disc.numerator * disc.denominator, 2), disc.denominator)
-        high_start = max(first, int((-beta + sqrt_lo) / (2 * alpha)))
-        low = range(first, min(2, k_hi) + 1)
-        high = range(high_start, k_hi + 1)
+        # root, floored from below through the integer square root
+        high_start = max(first, 3, (math.isqrt(disc) - beta) // (2 * pd))
+        low, high = range(first, min(2, k_hi) + 1), range(high_start, k_hi + 1)
         if len(low) + len(high) > 10_000:
             raise ResourceLimitError("qualifying-child window is implausibly wide")
-        candidates = sorted(set(low) | set(high))
+        candidates = [*low, *high]
     # child E* is (err_num k + s n)/(Pk), s = (-1)^n; its range reaches
     # (n+1)/(Pk(k+1)) below it for odd child order, above it for even
     s = -1 if n % 2 else 1
-    yn, yd = y.numerator, y.denominator
     out = []
     for k in candidates:
         lo = (err_num * k + s * n) * (k + 1) - (n + 1 if s > 0 else 0)
@@ -266,31 +268,36 @@ def ivt_root(a, b, y, width_tol, max_depth: int = 64) -> RootBracket:
     # order-1 cylinders (1/(k+1), 1/k] meet (a, b) exactly for k_min..k_max,
     # a > 0 as E(a) < y <= 0; their E* ranges are [-1/(k(k+1)), 0].  A node
     # holds its prefix, prod and the phi and E* numerators over prod.
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    yn, yd, tn, td = y.numerator, y.denominator, width_tol.numerator, width_tol.denominator
     k_min = max(1, math.floor((1 - b) / b) + 1)
     k_max = math.ceil(Fraction(1) / a) - 1
-    stack = [((k,), k, 1, 0) for k in range(k_min, k_max + 1) if y >= Fraction(-1, k * (k + 1))]
-    while stack:
+    stack = [((k,), k, 1, 0) for k in range(k_min, k_max + 1) if yn * k * (k + 1) >= -yd]
+    for _ in range(IVT_MAX_NODES):
+        if not stack:
+            raise DepthOverflowError(
+                f"no bracket narrower than {width_tol} found within depth {max_depth}"
+            )
         prefix, prod, value_num, err_num = stack.pop()
         n = len(prefix)
-        if prod * (prefix[-1] + 1) * width_tol > 1:  # length 1/(prod (last+1))
+        if prod * (prefix[-1] + 1) * tn > td:  # length 1/(prod (last+1)) < width_tol
             ext = cylinder_extrema(prefix)
             return RootBracket(fundamental_interval(prefix), ext.minimum, ext.maximum, y)
         if n >= max_depth:
             continue
         # child k spans phi (v k + s)/(prod k) .. (v (k+1) + s)/(prod (k+1)), v = value_num,
-        # s = (-1)^n; pushed so that the leftmost, largest k for even n, pops first
+        # s = (-1)^n, right end first if s > 0; pushed so the leftmost child pops first
         s = -1 if n % 2 else 1
         children = []
         for child in _qualifying_children(prefix, prod, err_num, y):
             k = child[-1]
             num = value_num * k + s
-            ends = (Fraction(num, prod * k), Fraction(num + value_num, prod * (k + 1)))
-            if max(ends) > a and min(ends) < b:
+            ends = (num, prod * k), (num + value_num, prod * (k + 1))
+            (rn, rd), (ln, ld) = ends if s > 0 else ends[::-1]
+            if rn * ad > an * rd and ln * bd < bn * ld:
                 children.append((child, prod * k, num, err_num * k + s * n))
         stack.extend(children if s > 0 else reversed(children))
-    raise DepthOverflowError(
-        f"no bracket narrower than {width_tol} found within depth {max_depth}"
-    )
+    raise ResourceLimitError(f"ivt_root popped {IVT_MAX_NODES} nodes without a bracket")
 
 
 # ---------------------------------------------------------------------------

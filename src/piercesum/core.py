@@ -36,12 +36,14 @@ class DepthOverflowError(RuntimeError):
 
 
 def as_rational(value) -> Rat:
-    """Coerce to an exact Fraction.
+    """Coerce to an exact Fraction; an exact Fraction comes back as is.
 
     Accepts Fraction, int, or a "p/q" / "p" string.  Floats and decimal
     strings are rejected: silently expanding the nearest binary or decimal
     rational is exactly the bug this library exists to avoid.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool) or isinstance(value, float):
         raise DomainError(f"refusing inexact input {value!r}; pass a Fraction, int, or 'p/q'")
     if isinstance(value, str):
@@ -61,7 +63,7 @@ def as_rational(value) -> Rat:
 
 
 def _check_unit(x: Rat) -> Rat:
-    if not 0 <= x <= 1:
+    if not 0 <= x.numerator <= x.denominator:
         raise DomainError(f"{x} is outside [0, 1]")
     return x
 

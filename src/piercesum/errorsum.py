@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, Rat, as_rational, estar_digits, evaluate_digits, expand, shift_power
+from .core import DomainError, Rat, as_rational, digit_numerators, estar_digits, evaluate_digits
+from .core import expand, shift_power
 from .intervals import interval_length
 from .sequences import (
     DEFAULT_DEPTH,
@@ -140,26 +141,23 @@ def jumps_at(x) -> JumpReport:
     which is recomputed independently here as a consistency check.
     """
     x = as_rational(x)
-    if not 0 < x < 1:
+    if not 0 < x.numerator < x.denominator:
         raise DomainError("jump analysis is defined on rationals strictly inside (0, 1)")
     digits = expand(x)
-    n = len(digits)
-    magnitude = Fraction(1, math.prod(digits[:-1]) * (digits[-1] - 1) * digits[-1])
-    interior = estar_digits(digits)
-    if n % 2 == 1:
-        side, limit = "right", interior - magnitude
-    else:
-        side, limit = "left", interior + magnitude
-    twin = digits[:-1] + (digits[-1] - 1, digits[-1])
-    if estar_digits(twin) != limit:
+    n, d = len(digits), digits[-1]
+    prod, _, err_num = digit_numerators(digits)
+    den = prod * (d - 1)  # E(x) = err_num (d - 1)/den; the limit is 1/den lower (odd n) or higher
+    limit_num = err_num * (d - 1) + (-1 if n % 2 else 1)
+    twin_prod, _, twin_err = digit_numerators(digits[:-1] + (d - 1, d))
+    if twin_err * den != limit_num * twin_prod:
         raise AssertionError(f"jump formula and preimage error sum disagree at {x}")
     return JumpReport(
         x=x,
-        side=side,
+        side="right" if n % 2 else "left",
         parity="odd" if n % 2 else "even",
-        interior_value=interior,
-        limit_value=limit,
-        jump_magnitude=magnitude,
+        interior_value=Fraction(err_num, prod),
+        limit_value=Fraction(limit_num, den),
+        jump_magnitude=Fraction(1, den),
     )
 
 
@@ -181,21 +179,22 @@ class CylinderExtrema:
 def cylinder_extrema(prefix) -> CylinderExtrema:
     """Max and min of E* over the cylinder of a finite prefix.
 
-    One extremum sits at the prefix itself, the other at the prefix with
-    its last digit repeated-plus-one appended; which is which flips with
-    the parity of the order.
+    One extremum sits at the prefix itself, the other, n/(P (d+1)) away for
+    digit product P and last digit d, at the prefix with d + 1 appended;
+    which is which flips with the parity of the order.
     """
-    prefix = _check_prefix(prefix)
+    here = PierceSeq(prefix)
+    prefix = here.prefix
     if not prefix:
         raise DomainError("cylinder extrema need a non-empty prefix")
-    n = len(prefix)
-    at_prefix = estar_digits(prefix)
-    spread = n * interval_length(prefix)
-    here = PierceSeq(prefix)
+    n, d = len(prefix), prefix[-1]
+    prod, _, err_num = digit_numerators(prefix)
+    at_prefix = Fraction(err_num, prod)
     there = hat_prime(here)
+    at_there = Fraction(err_num * (d + 1) + (-n if n % 2 else n), prod * (d + 1))
     if n % 2 == 1:
-        return CylinderExtrema(prefix, at_prefix, at_prefix - spread, here, there)
-    return CylinderExtrema(prefix, at_prefix + spread, at_prefix, there, here)
+        return CylinderExtrema(prefix, at_prefix, at_there, here, there)
+    return CylinderExtrema(prefix, at_there, at_prefix, there, here)
 
 
 def oscillation(prefix) -> Rat:

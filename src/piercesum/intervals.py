@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, Rat, as_rational, evaluate_digits, expand
-from .sequences import _check_prefix, enumerate_prefixes, is_realizable
+from .core import DepthOverflowError, DomainError, Rat, as_rational, digit_numerators, expand
+from .sequences import MAX_DEPTH, _check_prefix, _realizable_digits, enumerate_prefixes
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,16 @@ def fundamental_interval(prefix) -> FundInterval:
     n = len(prefix)
     if n < 1:
         raise DomainError("fundamental intervals need a non-empty prefix")
-    value = evaluate_digits(prefix)
-    hat_value = evaluate_digits(prefix[:-1] + (prefix[-1] + 1,))
-    closed = is_realizable(prefix)
+    if n > MAX_DEPTH:  # the cap PierceSeq.digits puts on every realizability test
+        raise DepthOverflowError(f"depth {n} exceeds cap {MAX_DEPTH}")
+    # hat moves the last term s/prod, s = (-1)^(n-1), to s/(prod/d (d+1))
+    d = prefix[-1]
+    prod, value_num, _ = digit_numerators(prefix)
+    value = Fraction(value_num, prod)
+    hat_value = Fraction(value_num * (d + 1) + (-1 if n % 2 else 1), prod * (d + 1))
     if n % 2 == 1:
-        return FundInterval(prefix, n, hat_value, value, False, closed)
-    return FundInterval(prefix, n, value, hat_value, closed, False)
+        return FundInterval(prefix, n, hat_value, value, False, _realizable_digits(prefix))
+    return FundInterval(prefix, n, value, hat_value, _realizable_digits(prefix), False)
 
 
 def interval_length(prefix) -> Rat:

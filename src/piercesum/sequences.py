@@ -40,12 +40,12 @@ class Enclosure:
     hi: Rat
 
     def __post_init__(self):
-        if self.lo > self.hi:
+        if self.lo is not self.hi and self.lo > self.hi:
             raise ValueError(f"enclosure endpoints out of order: {self.lo} > {self.hi}")
 
     @classmethod
     def exact(cls, value) -> "Enclosure":
-        value = Fraction(value)
+        value = value if type(value) is Fraction else Fraction(value)
         return cls(value, value)
 
     @property
@@ -204,6 +204,8 @@ class PierceSeq:
         return ds[n - 1] if len(ds) >= n else INF
 
     def finite_digits(self) -> tuple[int, ...]:
+        if self.tail is None and len(self.prefix) <= MAX_DEPTH:
+            return self.prefix  # validated in __post_init__
         if not self.is_finite:
             raise DomainError("sequence is stream-backed; use digits(depth)")
         return self.digits(self.length)
@@ -231,9 +233,10 @@ def is_realizable(seq) -> bool:
     whose last two digits are consecutive.
     """
     seq = as_sequence(seq)
-    if not seq.is_finite:
-        return True
-    digits = seq.finite_digits()
+    return not seq.is_finite or _realizable_digits(seq.finite_digits())
+
+
+def _realizable_digits(digits: tuple[int, ...]) -> bool:
     return len(digits) < 2 or digits[-2] + 1 < digits[-1]
 
 

@@ -14,18 +14,20 @@ from piercesum import (
     DegenerateFitError,
     DepthOverflowError,
     DomainError,
+    FundInterval,
     ResourceLimitError,
     RootBracket,
     box_count_empirical,
     box_count_sweep,
     calibrate_product_bound,
     count_bounded_products,
-    cylinder_extrema,
     dimension_slope,
     estar_digits,
     esum,
+    evaluate_digits,
     factorial_bounds_check,
-    fundamental_interval,
+    hat,
+    hat_prime,
     hausdorff_cover_sum,
     integrate_esum,
     ivt_root,
@@ -155,9 +157,26 @@ class TestVariation:
         assert rep.total > candidate
 
 
+def _interval_oracle(prefix):
+    # definitional fundamental interval: phi of the prefix and of its hat,
+    # the phi(prefix) end closed unless the last two digits are consecutive
+    n = len(prefix)
+    value, hat_value = evaluate_digits(prefix), evaluate_digits(hat(prefix).prefix)
+    closed = n < 2 or prefix[-2] + 1 < prefix[-1]
+    if n % 2 == 1:
+        return FundInterval(prefix, n, hat_value, value, False, closed)
+    return FundInterval(prefix, n, value, hat_value, closed, False)
+
+
+def _extrema_oracle(prefix):
+    # E* over a cylinder ranges between its values at the prefix and at hat_prime
+    ends = estar_digits(prefix), estar_digits(hat_prime(prefix).prefix)
+    return min(ends), max(ends)
+
+
 def _qualifying_children_oracle(prefix, y):
     # the candidate window of analysis._qualifying_children, each candidate
-    # checked against its own cylinder_extrema
+    # checked against its own E* range
     n, prod, value = len(prefix), math.prod(prefix), estar_digits(prefix)
     delta = (value - y) if n % 2 == 1 else (y - value)
     if delta <= 0:
@@ -177,27 +196,26 @@ def _qualifying_children_oracle(prefix, y):
         candidates = sorted(set(range(first, min(2, k_hi) + 1)) | set(range(high_start, k_hi + 1)))
     out = []
     for k in candidates:
-        ext = cylinder_extrema(prefix + (k,))
-        if ext.minimum <= y <= ext.maximum:
+        lo, hi = _extrema_oracle(prefix + (k,))
+        if lo <= y <= hi:
             out.append(prefix + (k,))
     return out
 
 
 def ivt_root_oracle(a, b, y, width_tol, max_depth=64):
     # oracle: recursive leftmost-first refinement, children sorted by the
-    # left end of their fundamental_interval
+    # left end of their interval
     def intersects(iv):
         return iv.right > a and iv.left < b
 
     def refine(prefix, depth):
-        iv = fundamental_interval(prefix)
+        iv = _interval_oracle(prefix)
         if iv.length < width_tol:
-            ext = cylinder_extrema(prefix)
-            return RootBracket(iv, ext.minimum, ext.maximum, y)
+            return RootBracket(iv, *_extrema_oracle(prefix), y)
         if depth >= max_depth:
             return None
         ordered = sorted(
-            ((fundamental_interval(c), c) for c in _qualifying_children_oracle(prefix, y)),
+            ((_interval_oracle(c), c) for c in _qualifying_children_oracle(prefix, y)),
             key=lambda pair: pair[0].left,
         )
         for child_iv, child in ordered:
@@ -214,7 +232,7 @@ def ivt_root_oracle(a, b, y, width_tol, max_depth=64):
         if y < F(-1, k * (k + 1)):
             continue
         prefix = (k,)
-        if not intersects(fundamental_interval(prefix)):
+        if not intersects(_interval_oracle(prefix)):
             continue
         found = refine(prefix, 1)
         if found is not None:
@@ -302,6 +320,12 @@ class TestIvtRoot:
         bracket = ivt_root(*args, max_depth=8)
         assert bracket.interval.sigma == (2, 3, 4, 7, 19, 24, 29, 34)
         assert bracket == ivt_root_oracle(*args, max_depth=8)
+
+    def test_node_budget_raises(self, monkeypatch):
+        # the bracket of this triple has 8 digits, so it pops more than one node
+        monkeypatch.setattr(analysis, "IVT_MAX_NODES", 1)
+        with pytest.raises(ResourceLimitError):
+            ivt_root(F(9, 25), F(39, 100), F(-1, 10), F(1, 10**9))
 
     def test_random_triples_small(self):
         rng = random.Random(5)

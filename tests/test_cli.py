@@ -178,6 +178,11 @@ class TestIvt:
         code, _, err = run(capsys, "ivt", "--a", "0/1", "--b", "1/2", "--y", "0/1")
         assert code == 1 and "domain error" in err
 
+    def test_node_budget_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "IVT_MAX_NODES", 1)
+        code, _, err = run(capsys, "ivt", "--a", "9/25", "--b", "39/100", "--y=-1/10")
+        assert code == 3 and "resource limit" in err
+
 
 class TestCounts:
     def test_increasing(self, capsys):

@@ -40,6 +40,23 @@ class TestAsRational:
         with pytest.raises(DomainError):
             as_rational(bad)
 
+    def test_exact_fraction_comes_back_as_is(self):
+        x = F(3, 8)
+        assert as_rational(x) is x
+
+    def test_fraction_subclass_becomes_exact_fraction(self):
+        class Sub(F):
+            pass
+
+        out = as_rational(Sub(3, 8))
+        assert type(out) is F and out == F(3, 8)
+
+    @pytest.mark.parametrize("bad", [F(-1, 3), F(4, 3)])
+    def test_unit_checks_reject_outside_points(self, bad):
+        for fn in (expand, shift, digit1):
+            with pytest.raises(DomainError):
+                fn(bad)
+
 
 class TestDigit1:
     def test_half(self):

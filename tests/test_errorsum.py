@@ -173,7 +173,7 @@ class TestJumps:
         assert rep.left_limit == F(-1, 12)
         assert rep.right_limit == F(-1, 8)
 
-    @pytest.mark.parametrize("x", [0, 1])
+    @pytest.mark.parametrize("x", [0, 1, F(0), F(1)])
     def test_endpoints_rejected(self, x):
         with pytest.raises(DomainError):
             jumps_at(x)

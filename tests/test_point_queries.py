@@ -1,0 +1,167 @@
+"""Point queries: a bit-for-bit pin and differential tests of the integer paths.
+
+``jumps_at``, ``cylinder_extrema`` and ``fundamental_interval`` run on the
+integer numerators of ``core.digit_numerators``.  The oracles below take the
+``Fraction`` route instead: ``evaluate_digits`` / ``estar_digits`` of each
+digit tuple involved, combined with ``interval_length`` in ``Fraction``s.
+"""
+
+import hashlib
+import math
+import random
+from fractions import Fraction as F
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from piercesum import (
+    CylinderExtrema,
+    FundInterval,
+    JumpReport,
+    PierceSeq,
+    cylinder_extrema,
+    esum,
+    estar_digits,
+    evaluate_digits,
+    expand,
+    fundamental_interval,
+    hat_prime,
+    is_realizable,
+    ivt_root,
+    jumps_at,
+    phi,
+)
+from piercesum.intervals import interval_length
+
+#: sha256 of ``_point_text()``, as computed on the Fraction routes of the oracles below.
+POINT_DIGEST = "caf195143f62908aa6706a6e3a588ebe81e4d07db0f4b032a8fd5865a26c699e"
+
+
+def _criterion_2_rationals(count):
+    # the first draws of acceptance criterion 2 (seed 20260809, den <= 10^6)
+    rng = random.Random(20260809)
+    out = []
+    for _ in range(count):
+        q = rng.randint(1, 10**6)
+        out.append(F(rng.randint(0, q), q))
+    return out
+
+
+def _criterion_10_triples(count):
+    # (a, b, y) with E(a) < y < E(b), drawn as in acceptance criterion 10
+    rng = random.Random(101)
+    out = []
+    while len(out) < count:
+        a = F(rng.randint(1, 9999), 10000)
+        b = a + F(rng.randint(1, 5000), 10000)
+        if b >= 1:
+            continue
+        ea, eb = esum(a), esum(b)
+        if not ea < eb:
+            continue
+        y = ea + F(rng.randint(1, 127), 128) * (eb - ea)
+        if ea < y < eb:
+            out.append((a, b, y))
+    return out
+
+
+def _point_text():
+    lines = []
+    for x in _criterion_2_rationals(2000):
+        digits = expand(x)
+        fields = [x, digits, phi(digits), esum(x)]
+        if 0 < x < 1:
+            fields.append(jumps_at(x))
+        if digits:
+            fields += [fundamental_interval(digits), cylinder_extrema(digits)]
+        lines.append(" ".join(map(repr, fields)))
+    tol = F(1, 10**9)
+    for a, b, y in _criterion_10_triples(200):
+        lines.append(repr(ivt_root(a, b, y, tol)))
+    return "\n".join(lines)
+
+
+def test_point_queries_match_their_pinned_digest():
+    assert hashlib.sha256(_point_text().encode()).hexdigest() == POINT_DIGEST
+
+
+# The routes the integer versions replaced, kept as their slow oracles.
+
+
+def fundamental_interval_oracle(prefix):
+    n = len(prefix)
+    value = evaluate_digits(prefix)
+    hat_value = evaluate_digits(prefix[:-1] + (prefix[-1] + 1,))
+    closed = is_realizable(prefix)
+    if n % 2 == 1:
+        return FundInterval(prefix, n, hat_value, value, False, closed)
+    return FundInterval(prefix, n, value, hat_value, closed, False)
+
+
+def cylinder_extrema_oracle(prefix):
+    n = len(prefix)
+    at_prefix = estar_digits(prefix)
+    spread = n * interval_length(prefix)
+    here = PierceSeq(prefix)
+    there = hat_prime(here)
+    if n % 2 == 1:
+        return CylinderExtrema(prefix, at_prefix, at_prefix - spread, here, there)
+    return CylinderExtrema(prefix, at_prefix + spread, at_prefix, there, here)
+
+
+def jumps_at_oracle(x):
+    digits = expand(x)
+    n = len(digits)
+    magnitude = F(1, math.prod(digits[:-1]) * (digits[-1] - 1) * digits[-1])
+    interior = estar_digits(digits)
+    limit = interior - magnitude if n % 2 == 1 else interior + magnitude
+    assert estar_digits(digits[:-1] + (digits[-1] - 1, digits[-1])) == limit
+    return JumpReport(
+        x=x,
+        side="right" if n % 2 == 1 else "left",
+        parity="odd" if n % 2 else "even",
+        interior_value=interior,
+        limit_value=limit,
+        jump_magnitude=magnitude,
+    )
+
+
+realizable_prefixes = st.lists(
+    st.integers(min_value=1, max_value=60), min_size=1, max_size=9, unique=True
+).map(lambda ds: tuple(sorted(ds)))
+# last two digits consecutive: no point has these digits
+non_realizable_prefixes = realizable_prefixes.map(lambda p: p + (p[-1] + 1,))
+prefixes = st.one_of(realizable_prefixes, non_realizable_prefixes)
+
+
+def _same(fast, slow):
+    # equal field by field, and the same types (repr tells Fraction from int)
+    assert fast == slow and repr(fast) == repr(slow)
+
+
+class TestAgainstFractionRoutes:
+    @given(prefixes)
+    @settings(max_examples=300)
+    def test_fundamental_interval(self, prefix):
+        _same(fundamental_interval(prefix), fundamental_interval_oracle(prefix))
+
+    @given(prefixes)
+    @settings(max_examples=300)
+    def test_cylinder_extrema(self, prefix):
+        _same(cylinder_extrema(prefix), cylinder_extrema_oracle(prefix))
+
+    @given(prefixes)
+    @settings(max_examples=300)
+    def test_jumps_at(self, prefix):
+        # a non-realizable prefix names the same point as its realizable twin
+        x = evaluate_digits(prefix)
+        assume(0 < x < 1)
+        _same(jumps_at(x), jumps_at_oracle(x))
+
+    def test_short_prefixes_of_both_parities(self):
+        for prefix in [(1,), (2,), (7,), (1, 2), (1, 3), (2, 3), (2, 5), (1, 2, 3), (2, 4, 9)]:
+            _same(fundamental_interval(prefix), fundamental_interval_oracle(prefix))
+            _same(cylinder_extrema(prefix), cylinder_extrema_oracle(prefix))
+            x = evaluate_digits(prefix)
+            if 0 < x < 1:
+                _same(jumps_at(x), jumps_at_oracle(x))
