@@ -28,12 +28,11 @@ from .analysis import (
     integrate_esum,
     ivt_root,
     lambda_cover_counts,
-    subtree_interval_mass,
     variation_over_partition,
 )
 from .core import (
     INF,
-    MAX_EXPANSION_DIGITS,
+    MAX_DEPTH,
     DepthOverflowError,
     DigitStream,
     DomainError,

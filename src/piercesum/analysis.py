@@ -32,6 +32,7 @@ class DegenerateFitError(ValueError):
 SERIES_TERMS = 48  # first term count of the e^x and log enclosures; retries double it
 COVER_SCALE = 10**18  # fixed-point scale of the cover-sum root brackets
 IVT_MAX_NODES = 10**6  # nodes one ivt_root call may pop; typical calls pop a handful
+IVT_MAX_DEPTH = 64  # longest prefix ivt_root refines; its brackets end far shallower
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +123,6 @@ def integrate_esum(grid: int) -> IntegralReport:
 # ---------------------------------------------------------------------------
 
 
-def subtree_interval_mass(last_digit: int) -> Rat:
-    """Total length of all deeper intervals below a digit, in closed form.
-
-    Summing 1/(k(k+1)) over k > last telescopes to 1/(last+1), and the
-    value is invariant under adding more levels; this is the exact tail
-    used wherever an enumeration is cut off.
-    """
-    if last_digit < 0:
-        raise DomainError("digit must be >= 0")
-    return Fraction(1, last_digit + 1)
-
-
 @dataclass(frozen=True)
 class VariationReport:
     order: int
@@ -160,7 +149,7 @@ def variation_over_partition(n: int, digit_cap: "int | None" = None) -> Variatio
     if n < 1:
         raise DomainError("partition order must be >= 1")
     if digit_cap is None:
-        return VariationReport(n, None, n * subtree_interval_mass(0), Fraction(0))
+        return VariationReport(n, None, Fraction(n), Fraction(0))
     if digit_cap < 1:
         raise DomainError("digit cap must be >= 1")
     # the lengths 1/(prod d (d+1)) of an order n-1 prefix's children telescope
@@ -248,7 +237,7 @@ def _qualifying_children(prefix, prod, err_num, y):
     return out
 
 
-def ivt_root(a, b, y, width_tol, max_depth: int = 64) -> RootBracket:
+def ivt_root(a, b, y, width_tol) -> RootBracket:
     """Localize a solution of E(x) = y inside (a, b) by branch and bound.
 
     Keeps fundamental intervals that meet (a, b) and whose exact error-sum
@@ -276,14 +265,14 @@ def ivt_root(a, b, y, width_tol, max_depth: int = 64) -> RootBracket:
     for _ in range(IVT_MAX_NODES):
         if not stack:
             raise DepthOverflowError(
-                f"no bracket narrower than {width_tol} found within depth {max_depth}"
+                f"no bracket narrower than {width_tol} found within depth {IVT_MAX_DEPTH}"
             )
         prefix, prod, value_num, err_num = stack.pop()
         n = len(prefix)
         if prod * (prefix[-1] + 1) * tn > td:  # length 1/(prod (last+1)) < width_tol
             ext = cylinder_extrema(prefix)
             return RootBracket(fundamental_interval(prefix), ext.minimum, ext.maximum, y)
-        if n >= max_depth:
+        if n >= IVT_MAX_DEPTH:
             continue
         # child k spans phi (v k + s)/(prod k) .. (v (k+1) + s)/(prod (k+1)), v = value_num,
         # s = (-1)^n, right end first if s > 0; pushed so the leftmost child pops first

@@ -22,9 +22,10 @@ INF = math.inf
 #: A digit: positive int, or INF once an expansion has terminated.
 ExtDigit = int | float
 
-#: Rational expansions are always finite, but their length is only bounded
-#: by the numerator; fail loudly instead of looping on absurd inputs.
-MAX_EXPANSION_DIGITS = 10_000
+#: Most digits an expansion, a prefix or a truncation may have.  Rational
+#: expansions are always finite, but their length is only bounded by the
+#: numerator; fail loudly instead of looping on absurd inputs.
+MAX_DEPTH = 10_000
 
 
 class DomainError(ValueError):
@@ -101,7 +102,7 @@ def shift_power(x, n: int) -> Rat:
     return Fraction(p, q)
 
 
-def expand(x, max_digits: int = MAX_EXPANSION_DIGITS) -> tuple[int, ...]:
+def expand(x) -> tuple[int, ...]:
     """Pierce digits of a rational x in [0, 1], as a (possibly empty) tuple.
 
     The digits are strictly increasing, satisfy d_k >= k, and when the
@@ -111,8 +112,8 @@ def expand(x, max_digits: int = MAX_EXPANSION_DIGITS) -> tuple[int, ...]:
     digits = []
     p, q = x.numerator, x.denominator
     while p:
-        if len(digits) >= max_digits:
-            raise DepthOverflowError(f"expansion exceeds {max_digits} digits")
+        if len(digits) >= MAX_DEPTH:
+            raise DepthOverflowError(f"expansion exceeds {MAX_DEPTH} digits")
         d, p = divmod(q, p)
         digits.append(d)
     return tuple(digits)
@@ -155,59 +156,27 @@ def estar_digits(digits) -> Rat:
 
 @dataclass(frozen=True)
 class DigitStream:
-    """Deterministic rule producing the digit at each position 1, 2, 3, ...
+    """The arithmetic rule d_n = a*n + b for the digits at positions 1, 2, 3, ...
 
-    Streams stand in for infinite Pierce sequences (or long finite tables),
-    so equality is equality of the defining rule, never of the emitted
-    extension: two different rules may emit the same digits.
+    Streams stand in for infinite Pierce sequences, so equality is equality
+    of the defining rule.  Needs a >= 1 and a + b >= 1 so that d_n >= n holds.
     """
 
-    kind: str
-    params: tuple = ()
+    a: int
+    b: int = 0
 
-    @classmethod
-    def from_table(cls, digits) -> "DigitStream":
-        table = tuple(int(d) for d in digits)
-        for pos, d in enumerate(table, start=1):
-            if d < 1:
-                raise DomainError(f"table digit {d} must be a positive integer")
-            if pos >= 2 and table[pos - 2] >= d:
-                raise DomainError("table digits must be strictly increasing")
-        return cls("table", table)
-
-    @classmethod
-    def arithmetic(cls, a: int, b: int = 0) -> "DigitStream":
-        """Rule d_n = a*n + b.  Needs a >= 1 and a + b >= 1 so d_n >= n holds."""
-        if a < 1 or a + b < 1:
-            raise DomainError(f"arithmetic rule d_n = {a}n + {b} violates d_n >= n")
-        return cls("arithmetic", (a, b))
-
-    @classmethod
-    def factorial(cls) -> "DigitStream":
-        """Rule d_n = n!."""
-        return cls("factorial", ())
+    def __post_init__(self):
+        if self.a < 1 or self.a + self.b < 1:
+            raise DomainError(f"arithmetic rule d_n = {self.a}n + {self.b} violates d_n >= n")
 
     def digit(self, n: int) -> int:
-        """Digit at 1-based position n; raises IndexError past a finite table."""
+        """Digit at 1-based position n."""
         if n < 1:
             raise DomainError("digit positions are 1-based")
-        if self.kind == "table":
-            if n > len(self.params):
-                raise IndexError(n)
-            return self.params[n - 1]
-        if self.kind == "arithmetic":
-            a, b = self.params
-            return a * n + b
-        return math.factorial(n)
-
-    @property
-    def length(self) -> "int | None":
-        """Number of digits for finite tables, None for unbounded rules."""
-        return len(self.params) if self.kind == "table" else None
+        return self.a * n + self.b
 
     def digits(self, count: int) -> Iterator[int]:
-        limit = count if self.length is None else min(count, self.length)
-        for n in range(1, limit + 1):
+        for n in range(1, count + 1):
             yield self.digit(n)
 
 
@@ -215,12 +184,12 @@ class DigitStream:
 #: closed form. 1 - 1/e has digits 1, 2, 3, ... because its alternating
 #: factorial series is already a Pierce expansion.
 _NAMED_STREAMS = {
-    "one-minus-inv-e": lambda: DigitStream.arithmetic(1, 0),
+    "one-minus-inv-e": lambda: DigitStream(1, 0),
 }
 
 
 def constant_stream(name: str) -> DigitStream:
-    """Digit stream of a named constant; see DigitStream constructors for custom rules."""
+    """Digit stream of a named constant; build a DigitStream for other rules."""
     try:
         return _NAMED_STREAMS[name]()
     except KeyError:

@@ -20,6 +20,7 @@ from .sequences import (
     Enclosure,
     PierceSeq,
     _check_prefix,
+    _truncation_bracket,
     as_sequence,
     hat_prime,
     is_realizable,
@@ -33,16 +34,7 @@ def estar(seq, depth: int = DEFAULT_DEPTH) -> Enclosure:
     form and its next partial sum; its width is the truncation bound
     depth/(sigma_1 ... sigma_{depth+1}).
     """
-    seq = as_sequence(seq)
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
-    if seq.is_finite:
-        return Enclosure.exact(estar_digits(seq.finite_digits()))
-    lo = estar_digits(seq.digits(depth))
-    hi = estar_digits(seq.digits(depth + 1))
-    if lo > hi:
-        lo, hi = hi, lo
-    return Enclosure(lo, hi)
+    return _truncation_bracket(seq, depth, estar_digits)
 
 
 def estar_by_definition(seq, depth: int = DEFAULT_DEPTH) -> Enclosure:

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DepthOverflowError, DomainError, Rat, as_rational, digit_numerators, expand
-from .sequences import MAX_DEPTH, _check_prefix, _realizable_digits, enumerate_prefixes
+from .core import DomainError, Rat, as_rational, digit_numerators, expand
+from .sequences import _check_prefix, _realizable_digits, enumerate_prefixes
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,6 @@ def fundamental_interval(prefix) -> FundInterval:
     n = len(prefix)
     if n < 1:
         raise DomainError("fundamental intervals need a non-empty prefix")
-    if n > MAX_DEPTH:  # the cap PierceSeq.digits puts on every realizability test
-        raise DepthOverflowError(f"depth {n} exceeds cap {MAX_DEPTH}")
     # hat moves the last term s/prod, s = (-1)^(n-1), to s/(prod/d (d+1))
     d = prefix[-1]
     prod, value_num, _ = digit_numerators(prefix)
@@ -91,7 +89,6 @@ class Partition:
     digit_cap: int
     intervals: tuple[FundInterval, ...]
     residual: Rat
-    warning: "str | None" = None
 
     @property
     def covered_mass(self) -> Rat:
@@ -114,23 +111,18 @@ def residual_mass(n: int, digit_cap: int) -> Rat:
     return sum(e) / (digit_cap + 1)
 
 
-def partition(n: int, digit_cap: int, min_coverage=None) -> Partition:
+def partition(n: int, digit_cap: int) -> Partition:
     """Order-n fundamental intervals with all digits <= digit_cap.
 
     Intervals come out in lexicographic prefix order and are mutually
-    disjoint.  A too-small cap is reported through the warning field, not
-    an exception, so callers can still use the exact residual.
+    disjoint; the exact residual says how much of [0, 1] the cap leaves out.
     """
     if n < 1:
         raise DomainError("partition order must be >= 1")
     if digit_cap < 1:
         raise DomainError("digit cap must be >= 1")
     intervals = tuple(fundamental_interval(p) for p in enumerate_prefixes(n, max_digit=digit_cap))
-    residual = residual_mass(n, digit_cap)
-    warning = None
-    if min_coverage is not None and 1 - residual < as_rational(min_coverage):
-        warning = f"digit cap {digit_cap} covers only {1 - residual} < {min_coverage} of [0,1]"
-    return Partition(n, digit_cap, intervals, residual, warning)
+    return Partition(n, digit_cap, intervals, residual_mass(n, digit_cap))
 
 
 def locate(x, n: int) -> tuple[int, ...]:

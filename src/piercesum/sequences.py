@@ -16,6 +16,7 @@ from typing import Iterator, Sequence
 
 from .core import (
     INF,
+    MAX_DEPTH,
     DepthOverflowError,
     DigitStream,
     DomainError,
@@ -27,9 +28,6 @@ from .core import (
 #: shrink factorially, so 64 digits is far beyond any practical tolerance
 #: while staying cheap.
 DEFAULT_DEPTH = 64
-
-#: Hard ceiling on requested depths, mirroring the expansion digit cap.
-MAX_DEPTH = 10_000
 
 
 @dataclass(frozen=True)
@@ -125,9 +123,11 @@ def _frac_str(q: Rat) -> str:
 
 def _check_prefix(prefix: Sequence[int]) -> tuple[int, ...]:
     prefix = tuple(prefix)
+    if len(prefix) > MAX_DEPTH:
+        raise DepthOverflowError(f"depth {len(prefix)} exceeds cap {MAX_DEPTH}")
     last = 0
     for d in prefix:
-        if not isinstance(d, int):
+        if type(d) is not int:
             raise DomainError(f"prefix digit {d!r} is not an int")
         if d <= last:
             raise DomainError(f"prefix {prefix} is not strictly increasing from 1")
@@ -140,10 +140,10 @@ class PierceSeq:
     """A Pierce sequence: increasing finite prefix plus an optional tail stream.
 
     ``tail=None`` means the sequence ends with infinite digits (the finite
-    case).  A tail stream continues the prefix: its position j supplies the
-    digit at global position len(prefix) + j, so a finite table tail still
-    yields a finite sequence.  Two stream-backed sequences compare equal
-    only when their rules do.
+    case, a rational); a tail stream continues the prefix forever (an
+    irrational): its position j supplies the digit at global position
+    len(prefix) + j.  Two stream-backed sequences compare equal only when
+    their rules do.
     """
 
     prefix: tuple[int, ...] = ()
@@ -151,8 +151,6 @@ class PierceSeq:
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", _check_prefix(self.prefix))
-        if self.tail is not None and self.tail.length == 0:
-            object.__setattr__(self, "tail", None)
 
     @classmethod
     def from_stream(cls, stream: DigitStream) -> "PierceSeq":
@@ -161,17 +159,14 @@ class PierceSeq:
     @property
     def length(self) -> "int | None":
         """Number of finite digits, or None for stream-backed sequences."""
-        if self.tail is None:
-            return len(self.prefix)
-        tail_len = self.tail.length
-        return None if tail_len is None else len(self.prefix) + tail_len
+        return len(self.prefix) if self.tail is None else None
 
     @property
     def is_finite(self) -> bool:
-        return self.length is not None
+        return self.tail is None
 
     def digits(self, depth: int) -> tuple[int, ...]:
-        """Finite digits at positions 1..depth (fewer if the sequence ends).
+        """Digits at positions 1..depth (fewer if the sequence is finite).
 
         Stream digits are validated as they materialize: each must exceed
         its predecessor, which already forces d_n >= n.
@@ -185,10 +180,7 @@ class PierceSeq:
             return tuple(out)
         last = self.prefix[-1] if self.prefix else 0
         for j in range(1, depth - len(self.prefix) + 1):
-            try:
-                d = self.tail.digit(j)
-            except IndexError:
-                break
+            d = self.tail.digit(j)
             if d <= last:
                 raise DomainError(
                     f"stream digit {d} at position {len(self.prefix) + j} "
@@ -200,15 +192,15 @@ class PierceSeq:
 
     def digit_at(self, n: int) -> "int | float":
         """Digit at 1-based position n, INF past the end of a finite sequence."""
+        if n < 1:
+            raise DomainError("digit positions are 1-based")
         ds = self.digits(n)
         return ds[n - 1] if len(ds) >= n else INF
 
     def finite_digits(self) -> tuple[int, ...]:
-        if self.tail is None and len(self.prefix) <= MAX_DEPTH:
+        if self.tail is None:
             return self.prefix  # validated in __post_init__
-        if not self.is_finite:
-            raise DomainError("sequence is stream-backed; use digits(depth)")
-        return self.digits(self.length)
+        raise DomainError("sequence is stream-backed; use digits(depth)")
 
     def __str__(self):
         if self.is_finite:
@@ -233,7 +225,7 @@ def is_realizable(seq) -> bool:
     whose last two digits are consecutive.
     """
     seq = as_sequence(seq)
-    return not seq.is_finite or _realizable_digits(seq.finite_digits())
+    return not seq.is_finite or _realizable_digits(seq.prefix)
 
 
 def _realizable_digits(digits: tuple[int, ...]) -> bool:
@@ -246,6 +238,18 @@ def phi_partial(seq, n: int) -> Rat:
     return evaluate_digits(seq.digits(n))
 
 
+def _truncation_bracket(seq, depth: int, kernel) -> Enclosure:
+    """kernel of a finite sequence exactly, else between its depth and depth+1 truncations."""
+    seq = as_sequence(seq)
+    if depth < 1:
+        raise DomainError("depth must be >= 1")
+    if seq.tail is None:
+        return Enclosure.exact(kernel(seq.prefix))
+    digits = seq.digits(depth + 1)
+    lo, hi = kernel(digits[:depth]), kernel(digits)
+    return Enclosure(lo, hi) if lo <= hi else Enclosure(hi, lo)
+
+
 def phi(seq, depth: int = DEFAULT_DEPTH) -> Enclosure:
     """Value of a Pierce sequence under the alternating evaluation series.
 
@@ -253,16 +257,7 @@ def phi(seq, depth: int = DEFAULT_DEPTH) -> Enclosure:
     bracket between consecutive partial sums, whose width is the tail bound
     1/(sigma_1 ... sigma_{depth+1}).
     """
-    seq = as_sequence(seq)
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
-    if seq.is_finite:
-        return Enclosure.exact(evaluate_digits(seq.finite_digits()))
-    lo = phi_partial(seq, depth)
-    hi = phi_partial(seq, depth + 1)
-    if lo > hi:
-        lo, hi = hi, lo
-    return Enclosure(lo, hi)
+    return _truncation_bracket(seq, depth, evaluate_digits)
 
 
 def truncate(seq, n: int) -> PierceSeq:
@@ -279,25 +274,25 @@ def truncate(seq, n: int) -> PierceSeq:
 def hat(seq) -> PierceSeq:
     """Same finite sequence with its last digit incremented."""
     seq = as_sequence(seq)
-    if not seq.is_finite or seq.length == 0:
+    if not seq.is_finite or not seq.prefix:
         raise DomainError("hat needs a finite non-empty sequence")
-    digits = seq.finite_digits()
+    digits = seq.prefix
     return PierceSeq(digits[:-1] + (digits[-1] + 1,))
 
 
 def hat_prime(seq) -> PierceSeq:
     """Finite sequence with last+1 appended; non-realizable, same value as hat."""
     seq = as_sequence(seq)
-    if not seq.is_finite or seq.length == 0:
+    if not seq.is_finite or not seq.prefix:
         raise DomainError("hat_prime needs a finite non-empty sequence")
-    digits = seq.finite_digits()
+    digits = seq.prefix
     return PierceSeq(digits + (digits[-1] + 1,))
 
 
 def rho(a, b) -> Rat:
     """Digit metric: 0 when equal, else 1/a + 1/b with 1/INF = 0."""
     for d in (a, b):
-        if d != INF and (not isinstance(d, int) or d < 1):
+        if d != INF and (type(d) is not int or d < 1):
             raise DomainError(f"{d!r} is not a positive integer or INF")
     if a == b:
         return Fraction(0)
@@ -326,8 +321,6 @@ def rho_seq(sigma, tau, depth: int = DEFAULT_DEPTH) -> Enclosure:
         return Enclosure.exact(0)
     both_finite = sigma.is_finite and tau.is_finite
     horizon = max(sigma.length, tau.length, 1) if both_finite else depth
-    if horizon > MAX_DEPTH:
-        raise DepthOverflowError(f"depth {horizon} exceeds cap {MAX_DEPTH}")
     ds, dt = sigma.digits(horizon), tau.digits(horizon)
     total = Fraction(0)
     fact = 1
@@ -382,30 +375,27 @@ def enumerate_prefixes(
 ) -> Iterator[tuple[int, ...]]:
     """All strictly increasing n-tuples of positive integers under a bound.
 
-    Iterates over each cylinder prefix once, in lexicographic order.  At
-    least one of ``max_product`` / ``max_digit`` is required, otherwise the
-    enumeration would be infinite.  A digit bound alone is
-    ``itertools.combinations``; a product bound walks the prefix tree.
+    Iterates over each cylinder prefix once, in lexicographic order.
+    Exactly one of ``max_product`` / ``max_digit`` is required: a digit
+    bound is ``itertools.combinations``; a product bound walks the prefix
+    tree.
     """
     if n < 1:
         raise DomainError("prefix order must be >= 1")
-    if max_product is None and max_digit is None:
-        raise DomainError("need max_product or max_digit to keep the enumeration finite")
+    if (max_product is None) == (max_digit is None):
+        raise DomainError("need exactly one of max_product and max_digit")
     if max_product is None:
         return combinations(range(1, max_digit + 1), n)
 
     def last_child(k, last, prod):
-        # d is kept while d <= max_digit and the cheapest completion
-        # d (d+1) ... (d+n-k-1) keeps the product within max_product
+        # d is kept while the cheapest completion d (d+1) ... (d+n-k-1)
+        # keeps the product within max_product
         if k >= n:
             return 0
         if k == n - 1:
-            hi = max_product // prod
-            return hi if max_digit is None else min(hi, max_digit)
+            return max_product // prod
         d = last
-        while (max_digit is None or d < max_digit) and (
-            prod * math.prod(range(d + 1, d + 1 + n - k)) <= max_product
-        ):
+        while prod * math.prod(range(d + 1, d + 1 + n - k)) <= max_product:
             d += 1
         return d
 

@@ -32,7 +32,6 @@ from piercesum import (
     integrate_esum,
     ivt_root,
     lambda_cover_counts,
-    subtree_interval_mass,
     variation_over_partition,
 )
 from piercesum import analysis
@@ -142,13 +141,6 @@ class TestVariation:
             with pytest.raises(DomainError):
                 variation_over_partition(2, cap)
 
-    def test_subtree_mass_closed_form_matches_enumeration(self):
-        # sum over cap digits plus closed-form tail reproduces the telescoped value
-        for last in (0, 1, 5):
-            cap = 500
-            partial = sum(F(1, k * (k + 1)) for k in range(last + 1, cap + 1))
-            assert partial + subtree_interval_mass(cap) == subtree_interval_mass(last)
-
     def test_variation_exceeds_any_candidate_bound(self):
         # unbounded variation: the order-n sum is n, so any bound V fails at
         # n = ceil(V) + 1
@@ -202,7 +194,7 @@ def _qualifying_children_oracle(prefix, y):
     return out
 
 
-def ivt_root_oracle(a, b, y, width_tol, max_depth=64):
+def ivt_root_oracle(a, b, y, width_tol, depth_cap=64):
     # oracle: recursive leftmost-first refinement, children sorted by the
     # left end of their interval
     def intersects(iv):
@@ -212,7 +204,7 @@ def ivt_root_oracle(a, b, y, width_tol, max_depth=64):
         iv = _interval_oracle(prefix)
         if iv.length < width_tol:
             return RootBracket(iv, *_extrema_oracle(prefix), y)
-        if depth >= max_depth:
+        if depth >= depth_cap:
             return None
         ordered = sorted(
             ((_interval_oracle(c), c) for c in _qualifying_children_oracle(prefix, y)),
@@ -237,7 +229,7 @@ def ivt_root_oracle(a, b, y, width_tol, max_depth=64):
         found = refine(prefix, 1)
         if found is not None:
             return found
-    raise DepthOverflowError(f"no bracket narrower than {width_tol} within depth {max_depth}")
+    raise DepthOverflowError(f"no bracket narrower than {width_tol} within depth {depth_cap}")
 
 
 def ivt_triples(seed, count):
@@ -312,14 +304,16 @@ class TestIvtRoot:
         for a, b, y in triples:
             assert ivt_root(a, b, y, tol) == ivt_root_oracle(a, b, y, tol), (a, b, y)
 
-    def test_depth_exhaustion_backtracks_then_raises(self):
+    def test_depth_exhaustion_backtracks_then_raises(self, monkeypatch):
         args = (F(9, 25), F(39, 100), F(-1, 10), F(1, 10**9))
-        for max_depth in (6, 7):  # the bracket has 8 digits
+        for depth_cap in (6, 7):  # the bracket has 8 digits
+            monkeypatch.setattr(analysis, "IVT_MAX_DEPTH", depth_cap)
             with pytest.raises(DepthOverflowError):
-                ivt_root(*args, max_depth=max_depth)
-        bracket = ivt_root(*args, max_depth=8)
+                ivt_root(*args)
+        monkeypatch.setattr(analysis, "IVT_MAX_DEPTH", 8)
+        bracket = ivt_root(*args)
         assert bracket.interval.sigma == (2, 3, 4, 7, 19, 24, 29, 34)
-        assert bracket == ivt_root_oracle(*args, max_depth=8)
+        assert bracket == ivt_root_oracle(*args, depth_cap=8)
 
     def test_node_budget_raises(self, monkeypatch):
         # the bracket of this triple has 8 digits, so it pops more than one node

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from piercesum import (
     INF,
+    MAX_DEPTH,
     DepthOverflowError,
     DigitStream,
     DomainError,
@@ -118,8 +119,11 @@ class TestExpand:
         assert expand(x) == digits
 
     def test_depth_cap(self):
+        # a realizable digit tuple one longer than the cap: the expansion of
+        # its value has MAX_DEPTH + 1 digits
+        x = evaluate_digits((*range(1, MAX_DEPTH + 1), MAX_DEPTH + 2))
         with pytest.raises(DepthOverflowError):
-            expand(F(3, 8), max_digits=1)
+            expand(x)
 
     @given(unit_rationals)
     @settings(max_examples=300)
@@ -166,28 +170,14 @@ class TestDigitStream:
             constant_stream("pi")
 
     def test_custom_rule(self):
-        assert list(DigitStream.arithmetic(2, 0).digits(3)) == [2, 4, 6]
-
-    def test_table(self):
-        stream = DigitStream.from_table((2, 4))
-        assert list(stream.digits(10)) == [2, 4]
-        assert stream.length == 2
-
-    def test_factorial_rule(self):
-        assert list(DigitStream.factorial().digits(4)) == [1, 2, 6, 24]
-
-    def test_bad_table(self):
-        with pytest.raises(DomainError):
-            DigitStream.from_table((2, 2))
-        with pytest.raises(DomainError):
-            DigitStream.from_table((0, 3))
+        assert list(DigitStream(2, 0).digits(3)) == [2, 4, 6]
 
     def test_bad_arithmetic_rule(self):
         with pytest.raises(DomainError):
-            DigitStream.arithmetic(0, 5)
+            DigitStream(0, 5)
         with pytest.raises(DomainError):
-            DigitStream.arithmetic(1, -1)
+            DigitStream(1, -1)
 
     def test_rule_equality_is_by_parameters(self):
-        assert DigitStream.arithmetic(1, 0) == constant_stream("one-minus-inv-e")
-        assert DigitStream.arithmetic(1, 0) != DigitStream.arithmetic(2, 0)
+        assert DigitStream(1, 0) == constant_stream("one-minus-inv-e")
+        assert DigitStream(1, 0) != DigitStream(2, 0)

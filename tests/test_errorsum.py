@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from piercesum import (
-    DigitStream,
     DomainError,
     PierceSeq,
     constant_stream,
@@ -143,8 +142,7 @@ class TestEsumStream:
         assert enc.contains(TWO_OVER_E_MINUS_ONE)
 
     def test_finite_adapter(self):
-        seq = PierceSeq.from_stream(DigitStream.from_table((2, 4)))
-        enc = esum_stream(seq)
+        enc = esum_stream(PierceSeq((2, 4)))
         assert enc.is_exact and enc.lo == F(-1, 8)
 
     def test_depth_five_width(self):

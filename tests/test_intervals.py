@@ -104,10 +104,6 @@ class TestPartition:
         for a, b in zip(ivs, ivs[1:]):
             assert a.right <= b.left
 
-    def test_coverage_warning(self):
-        assert partition(1, 3, min_coverage=F(9, 10)).warning is not None
-        assert partition(1, 3, min_coverage=F(1, 2)).warning is None
-
     def test_cap_smaller_than_order(self):
         part = partition(2, 1)
         assert part.intervals == () and part.residual == 1

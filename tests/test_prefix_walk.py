@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from piercesum import (
@@ -210,13 +210,13 @@ def prefixes_oracle(n, max_product, max_digit):
 
 @given(
     st.integers(min_value=1, max_value=5),
-    st.none() | st.integers(min_value=0, max_value=150),
-    st.none() | st.integers(min_value=0, max_value=12),
+    # exactly one bound: (max_product, None) or (None, max_digit)
+    st.tuples(st.integers(min_value=0, max_value=40), st.none())
+    | st.tuples(st.none(), st.integers(min_value=0, max_value=12)),
 )
 @settings(max_examples=300, deadline=None)
-def test_enumerate_prefixes_matches_filtered_combinations(n, max_product, max_digit):
-    assume(max_product is not None or max_digit is not None)
-    assume(max_digit is not None or max_product <= 40)
+def test_enumerate_prefixes_matches_filtered_combinations(n, bounds):
+    max_product, max_digit = bounds
     got = list(enumerate_prefixes(n, max_product=max_product, max_digit=max_digit))
     assert got == prefixes_oracle(n, max_product, max_digit)
 

@@ -50,20 +50,29 @@ class TestPierceSeq:
         with pytest.raises(DomainError):
             PierceSeq((0, 1))
 
+    def test_bool_digits_rejected(self):
+        with pytest.raises(DomainError):
+            PierceSeq((True, 3))
+
     def test_stream_digits_validated_lazily(self):
-        bad = PierceSeq((5,), DigitStream.arithmetic(1, 0))  # continues 1, 2, ...
+        bad = PierceSeq((5,), DigitStream(1, 0))  # continues 1, 2, ...
         with pytest.raises(DomainError):
             bad.digits(3)
 
     def test_finite_length(self):
         assert PierceSeq((2, 4)).length == 2
-        assert PierceSeq((2, 4), DigitStream.from_table((7, 9))).length == 4
         assert stream_seq().length is None
 
     def test_digit_at_pads_with_inf(self):
         seq = PierceSeq((2, 4))
         assert seq.digit_at(2) == 4
         assert seq.digit_at(3) == INF
+
+    @pytest.mark.parametrize("seq", [PierceSeq((2, 4)), stream_seq(), PierceSeq()])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_digit_at_rejects_positions_below_one(self, seq, n):
+        with pytest.raises(DomainError):
+            seq.digit_at(n)
 
 
 class TestRealizability:
@@ -160,6 +169,12 @@ class TestRho:
         assert rho(3, 3) == 0
         assert rho(3, INF) == F(1, 3)
         assert rho(INF, INF) == 0
+
+    def test_bool_digits_rejected(self):
+        with pytest.raises(DomainError):
+            rho(True, 2)
+        with pytest.raises(DomainError):
+            rho(2, False)
 
     @given(st.lists(st.integers(min_value=1, max_value=50) | st.just(INF), min_size=3, max_size=3))
     def test_metric_axioms(self, triple):
@@ -288,8 +303,8 @@ class TestEnumeratePrefixes:
             assert all(d >= k for k, d in enumerate(prefix, start=1))
 
     def test_combined_bounds(self):
-        got = list(enumerate_prefixes(2, max_product=12, max_digit=4))
-        assert got == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        with pytest.raises(DomainError):
+            list(enumerate_prefixes(2, max_product=12, max_digit=4))
 
 
 def test_stream_gaps_obey_the_shared_prefix_bound():

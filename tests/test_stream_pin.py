@@ -28,8 +28,8 @@ STREAM_DIGEST = "9ce82b2f132cae7252a3d96fa7db6e6556a2bbf0e5c14fa889db480febf42e3
 def _sequences():
     return [
         PierceSeq.from_stream(constant_stream("one-minus-inv-e")),  # 1, 2, 3, ...
-        PierceSeq((1,), DigitStream.arithmetic(2, 1)),  # 1, then 2j + 1
-        PierceSeq((2, 5), DigitStream.arithmetic(3, 4)),  # 2, 5, then 3j + 4
+        PierceSeq((1,), DigitStream(2, 1)),  # 1, then 2j + 1
+        PierceSeq((2, 5), DigitStream(3, 4)),  # 2, 5, then 3j + 4
     ]
 
 
