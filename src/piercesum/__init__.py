@@ -72,7 +72,6 @@ from .sequences import (
     DEFAULT_DEPTH,
     Enclosure,
     PierceSeq,
-    enumerate_prefixes,
     hat,
     hat_prime,
     is_realizable,

@@ -18,7 +18,7 @@ from .certify import exp_enclosure, iroot, log_enclosure, pow_enclosure
 from .core import DepthOverflowError, DomainError, Rat, as_rational
 from .errorsum import cylinder_extrema, esum
 from .intervals import FundInterval, fundamental_interval, residual_mass
-from .sequences import Enclosure, enumerate_prefixes, walk_prefixes
+from .sequences import Enclosure, walk_prefixes
 
 
 class ResourceLimitError(RuntimeError):
@@ -192,16 +192,20 @@ def _qualifying_children(prefix, prod, err_num, y):
     order.  Bracketing y therefore needs k <= n/(P delta) together with the
     quadratic (P delta)k^2 + (P delta - n)k + 1 >= 0, which holds outside
     its root interval.  In units of y's denominator q, pd = P delta q is an
-    integer, k <= nq/pd and pd k^2 + (pd - nq)k + q >= 0.  The high branch
-    starts near nq/pd, so only a handful of candidates exist; each is
-    verified by integer comparisons over the common denominator Pk(k+1).
+    integer, k <= nq/pd and pd k^2 + (pd - nq)k + q >= 0; rearranged,
+    (nq - k pd)(k+1) <= (n+1)q is the test each candidate k <= k_hi gets.
 
-    The low branch (k at most the smaller root) holds only k <= 2.  With
-    x = P delta <= n (else k_hi < 1), the smaller root is
-    2/((n - x) + sqrt(disc)), disc = (n - x)^2 - 4x.  Both terms of the
-    denominator fall as x grows, so the root grows until disc = 0, at
-    x = (sqrt(n+1) - 1)^2, where it equals 1/(sqrt(n+1) - 1) <= 1 + sqrt(2)
-    < 3.  So the window first .. min(2, k_hi) covers the low branch.
+    The low branch (k at most the smaller root r1) holds only k <= 2.  With
+    x = P delta <= n (else k_hi < 1), r1 = 2/((n - x) + sqrt(disc)), disc =
+    (n - x)^2 - 4x.  Both terms of the denominator fall as x grows, so r1
+    grows until disc = 0, at x = (sqrt(n+1) - 1)^2, where it equals
+    1/(sqrt(n+1) - 1) <= 1 + sqrt(2) < 3.
+
+    The high branch is [r2, nq/pd], r2 the larger root.  The roots sum to
+    nq/pd - 1, so the branch has length 1 + r1 < 4 and holds only k >=
+    k_hi - 3, k_hi = floor(nq/pd).  Without real roots, (n - x)^2 < 4x
+    forces x > (sqrt(2) - 1)^2 and so k_hi < 1 + 2/sqrt(x) < 6.  Either
+    way first .. 2 and k_hi - 3 .. k_hi hold every child: at most six.
     """
     n = len(prefix)
     yn, yd = y.numerator, y.denominator
@@ -211,30 +215,11 @@ def _qualifying_children(prefix, prod, err_num, y):
     nq = n * yd
     k_hi = nq // pd
     first = prefix[-1] + 1
-    if k_hi < first:
-        return []
-    beta = pd - nq
-    disc = beta * beta - 4 * pd * yd
-    if disc < 0:
-        # quadratic positive everywhere; k_hi is at most ~6 here
-        candidates = range(first, k_hi + 1)
-    else:
-        # low branch: k <= smaller root < 3; high branch: k >= larger
-        # root, floored from below through the integer square root
-        high_start = max(first, 3, (math.isqrt(disc) - beta) // (2 * pd))
-        low, high = range(first, min(2, k_hi) + 1), range(high_start, k_hi + 1)
-        if len(low) + len(high) > 10_000:
-            raise ResourceLimitError("qualifying-child window is implausibly wide")
-        candidates = [*low, *high]
-    # child E* is (err_num k + s n)/(Pk), s = (-1)^n; its range reaches
-    # (n+1)/(Pk(k+1)) below it for odd child order, above it for even
-    s = -1 if n % 2 else 1
-    out = []
-    for k in candidates:
-        lo = (err_num * k + s * n) * (k + 1) - (n + 1 if s > 0 else 0)
-        if lo * yd <= yn * prod * k * (k + 1) <= (lo + n + 1) * yd:
-            out.append(prefix + (k,))
-    return out
+    return [
+        prefix + (k,)
+        for k in (*range(first, min(2, k_hi) + 1), *range(max(first, 3, k_hi - 3), k_hi + 1))
+        if (nq - k * pd) * (k + 1) <= nq + yd
+    ]
 
 
 def ivt_root(a, b, y, width_tol) -> RootBracket:
@@ -519,7 +504,7 @@ def _grid_equivalent(epsilon: Fraction, bound: int) -> tuple[int, int]:
     return q0 + k * q1, p0 + k * p1
 
 
-def box_count_empirical(epsilon, sample_depth: "int | None" = None) -> int:
+def box_count_empirical(epsilon) -> int:
     """Occupied eps-grid squares over samples of the reflected graph.
 
     Samples (value, -error sum) for every finite sequence with digit
@@ -534,20 +519,16 @@ def box_count_empirical(epsilon, sample_depth: "int | None" = None) -> int:
     P.  The walk therefore runs at the simplest scale that no such fraction
     separates from eps (see _grid_equivalent): the same cells, on integers
     of about log2(P) bits whatever the size of eps's own.
+
+    The cap P alone ends the walk: k increasing digits have product at
+    least k!, so a node at the calibrated depth m, m! <= P < (m+1)!, has
+    P // prod <= m <= its last digit, and no child.
     """
     epsilon = as_rational(epsilon)
-    P, depth_cap = calibrate_product_bound(epsilon)
-    if sample_depth is not None:
-        if sample_depth < 1:
-            raise DomainError("sample depth must be >= 1")
-        depth_cap = min(depth_cap, sample_depth)
+    P, _ = calibrate_product_bound(epsilon)
     en, ed = _grid_equivalent(epsilon, P)
-
-    def last_child(k, last, prod):
-        return P // prod if k < depth_cap else 0
-
     cells = set()
-    for prefix, prod, value_num, err_num, hi in walk_prefixes(last_child):
+    for prefix, prod, value_num, err_num, hi in walk_prefixes(lambda k, last, prod: P // prod):
         # child d has cell ((ax d + bx) // (c d), (ay d + by) // (c d)); both
         # indices are monotone in d, so each run of equal cells is one step
         k = len(prefix)
@@ -563,12 +544,12 @@ def box_count_empirical(epsilon, sample_depth: "int | None" = None) -> int:
     return len(cells)
 
 
-def box_count_sweep(epsilons, sample_depth: "int | None" = None) -> list[tuple[Rat, int]]:
+def box_count_sweep(epsilons) -> list[tuple[Rat, int]]:
     """Box counts over a strictly decreasing scale sweep."""
     eps = [as_rational(e) for e in epsilons]
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise DomainError("scales must be strictly decreasing")
-    return [(e, box_count_empirical(e, sample_depth)) for e in eps]
+    return [(e, box_count_empirical(e)) for e in eps]
 
 
 @dataclass(frozen=True)
@@ -638,7 +619,24 @@ def count_bounded_products(
         raise ResourceLimitError(f"p*m = {p * m} exceeds budget {budget}")
 
     if increasing:
-        count = sum(1 for _ in enumerate_prefixes(m, max_product=p))
+        # a k-digit prefix keeps child d while the cheapest completion
+        # d (d+1) ... (d+m-k-1) keeps the product within p, so each
+        # (m-1)-digit node has hi - last choices of its m-th digit
+        def last_child(k, last, prod):
+            if k >= m:
+                return 0
+            if k == m - 1:
+                return p // prod
+            d = last
+            while prod * math.prod(range(d + 1, d + 1 + m - k)) <= p:
+                d += 1
+            return d
+
+        count = sum(
+            hi - (prefix[-1] if prefix else 0)
+            for prefix, _, _, _, hi in walk_prefixes(last_child)
+            if len(prefix) == m - 1
+        )
     else:
         # f(L, c) = sum_{d <= c} (1 + f(L-1, c // d)), f(0, c) = 0, over the
         # states c = p // j, one length at a time and one run of equal

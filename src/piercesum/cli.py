@@ -179,7 +179,7 @@ def _cmd_dimension(args):
     if args.pow_min >= args.pow_max:
         raise DomainError("need pow-min < pow-max for a decreasing scale sweep")
     scales = [Fraction(1, 2**p) for p in range(args.pow_min, args.pow_max + 1)]
-    counts = analysis.box_count_sweep(scales, args.sample_depth)
+    counts = analysis.box_count_sweep(scales)
     fit = analysis.dimension_slope(counts)
     try:
         lo, hi = (float(x) for x in args.band.split(":"))
@@ -358,7 +358,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dimension", parents=[common], help="box-counting slope over a sweep")
     p.add_argument("--pow-min", type=int, default=6, help="coarsest scale 2^-pow")
     p.add_argument("--pow-max", type=int, default=14, help="finest scale 2^-pow")
-    p.add_argument("--sample-depth", type=int, default=None)
     p.add_argument("--band", default="0.8:1.3", help="acceptance band lo:hi for the slope")
     p.set_defaults(run=_cmd_dimension)
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .core import DomainError, Rat, as_rational, digit_numerators, expand
-from .sequences import _check_prefix, _realizable_digits, enumerate_prefixes
+from .sequences import _check_prefix, _realizable_digits
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def partition(n: int, digit_cap: int) -> Partition:
         raise DomainError("partition order must be >= 1")
     if digit_cap < 1:
         raise DomainError("digit cap must be >= 1")
-    intervals = tuple(fundamental_interval(p) for p in enumerate_prefixes(n, max_digit=digit_cap))
+    intervals = tuple(fundamental_interval(p) for p in combinations(range(1, digit_cap + 1), n))
     return Partition(n, digit_cap, intervals, residual_mass(n, digit_cap))
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator, Sequence
 
 from .core import (
@@ -151,6 +150,11 @@ class PierceSeq:
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", _check_prefix(self.prefix))
+        if self.tail is not None and self.prefix and self.tail.digit(1) <= self.prefix[-1]:
+            raise DomainError(
+                f"stream digit {self.tail.digit(1)} at position {len(self.prefix) + 1} "
+                f"breaks monotonicity (previous digit {self.prefix[-1]})"
+            )
 
     @classmethod
     def from_stream(cls, stream: DigitStream) -> "PierceSeq":
@@ -168,27 +172,16 @@ class PierceSeq:
     def digits(self, depth: int) -> tuple[int, ...]:
         """Digits at positions 1..depth (fewer if the sequence is finite).
 
-        Stream digits are validated as they materialize: each must exceed
-        its predecessor, which already forces d_n >= n.
+        The junction of prefix and stream is checked at construction, and
+        the stream's rule rises by a >= 1, so stream digits need no check.
         """
         if depth < 0:
             raise DomainError("depth must be >= 0")
         if depth > MAX_DEPTH:
             raise DepthOverflowError(f"depth {depth} exceeds cap {MAX_DEPTH}")
-        out = list(self.prefix[:depth])
         if self.tail is None or depth <= len(self.prefix):
-            return tuple(out)
-        last = self.prefix[-1] if self.prefix else 0
-        for j in range(1, depth - len(self.prefix) + 1):
-            d = self.tail.digit(j)
-            if d <= last:
-                raise DomainError(
-                    f"stream digit {d} at position {len(self.prefix) + j} "
-                    f"breaks monotonicity (previous digit {last})"
-                )
-            out.append(d)
-            last = d
-        return tuple(out)
+            return self.prefix[:depth]
+        return self.prefix + tuple(self.tail.digits(depth - len(self.prefix)))
 
     def digit_at(self, n: int) -> "int | float":
         """Digit at 1-based position n, INF past the end of a finite sequence."""
@@ -346,7 +339,7 @@ def walk_prefixes(last_child) -> Iterator[tuple[tuple[int, ...], int, int, int, 
     must form a leading run of each range, since pushing stops at the first
     child without one.  The stack is explicit, so depth is not limited by
     the recursion limit.  Its callers are the product-bounded trees of
-    ``enumerate_prefixes`` and ``analysis.box_count_empirical``.
+    ``analysis.box_count_empirical`` and ``analysis.count_bounded_products``.
     """
     root = ((), 1, 0, 0, last_child(0, 0, 1))
     stack = [root] if root[-1] > 0 else []
@@ -366,42 +359,3 @@ def walk_prefixes(last_child) -> Iterator[tuple[tuple[int, ...], int, int, int, 
                 (prefix + (d,), prod * d, value_num * d + step, err_num * d + step * k, child_hi)
             )
         stack.extend(reversed(children))
-
-
-def enumerate_prefixes(
-    n: int,
-    max_product: "int | None" = None,
-    max_digit: "int | None" = None,
-) -> Iterator[tuple[int, ...]]:
-    """All strictly increasing n-tuples of positive integers under a bound.
-
-    Iterates over each cylinder prefix once, in lexicographic order.
-    Exactly one of ``max_product`` / ``max_digit`` is required: a digit
-    bound is ``itertools.combinations``; a product bound walks the prefix
-    tree.
-    """
-    if n < 1:
-        raise DomainError("prefix order must be >= 1")
-    if (max_product is None) == (max_digit is None):
-        raise DomainError("need exactly one of max_product and max_digit")
-    if max_product is None:
-        return combinations(range(1, max_digit + 1), n)
-
-    def last_child(k, last, prod):
-        # d is kept while the cheapest completion d (d+1) ... (d+n-k-1)
-        # keeps the product within max_product
-        if k >= n:
-            return 0
-        if k == n - 1:
-            return max_product // prod
-        d = last
-        while prod * math.prod(range(d + 1, d + 1 + n - k)) <= max_product:
-            d += 1
-        return d
-
-    return (
-        prefix + (d,)
-        for prefix, _, _, _, hi in walk_prefixes(last_child)
-        if len(prefix) == n - 1
-        for d in range(prefix[-1] + 1 if prefix else 1, hi + 1)
-    )

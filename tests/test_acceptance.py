@@ -9,6 +9,7 @@ import random
 import time
 from bisect import bisect_right
 from fractions import Fraction as F
+from itertools import combinations
 
 from piercesum import (
     PierceSeq,
@@ -18,7 +19,6 @@ from piercesum import (
     count_bounded_products,
     cylinder_extrema,
     dimension_slope,
-    enumerate_prefixes,
     estar,
     estar_digits,
     esum,
@@ -90,7 +90,7 @@ def test_criterion_02_exact_identity_suite():
             assert recursion_check(x, n)
     checked = 0
     for order in (1, 2, 3):
-        for prefix in enumerate_prefixes(order, max_digit=30):
+        for prefix in combinations(range(1, 31), order):
             iv = fundamental_interval(prefix)
             assert iv.right - iv.left == interval_length(prefix)
             checked += 1
@@ -232,7 +232,7 @@ def test_criterion_05_jump_formulas():
 def test_criterion_06_cylinder_extrema_brute_force():
     digit_cap, max_len = 40, 5
     prefixes = [
-        p for order in (1, 2, 3) for p in enumerate_prefixes(order, max_digit=8)
+        p for order in (1, 2, 3) for p in combinations(range(1, 9), order)
     ]
     assert len(prefixes) == 8 + 28 + 56
     extensions = 0

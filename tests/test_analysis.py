@@ -429,16 +429,6 @@ class TestBoxCounting:
         counts = [box_count_empirical(F(1, 2**k)) for k in range(1, 6)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
-    def test_sample_depth_limits_points(self):
-        full = box_count_empirical(F(1, 32))
-        shallow = box_count_empirical(F(1, 32), sample_depth=1)
-        assert shallow <= full
-
-    @pytest.mark.parametrize("depth", [0, -5])
-    def test_sample_depth_below_one_rejected(self, depth):
-        with pytest.raises(DomainError):
-            box_count_empirical(F(1, 32), sample_depth=depth)
-
     def test_sweep_requires_decreasing(self):
         with pytest.raises(DomainError):
             box_count_sweep([F(1, 4), F(1, 4)])

@@ -156,11 +156,12 @@ class TestDimension:
         assert code == 2 and payload["in_band"] is False
 
     def test_sample_depth_below_one_rejected(self, capsys):
+        # the flag is gone: the product cap alone bounds the sample depth
         for depth in ("0", "-5"):
             code, _, err = run(
                 capsys, "dimension", "--pow-min", "4", "--pow-max", "7", "--sample-depth", depth
             )
-            assert code == 1 and "sample depth" in err
+            assert code == 1 and "unrecognized arguments: --sample-depth" in err
 
 
 class TestIvt:

@@ -11,11 +11,12 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from piercesum import enumerate_prefixes, estar_digits, phi
+from piercesum import estar_digits, phi
 from piercesum.cli import SCHEMA_VERSION, _WRITERS, _fmt, _graph_rows, build_parser, main
 from piercesum.intervals import interval_length
 from piercesum.sequences import PierceSeq
@@ -34,7 +35,7 @@ def graph_rows_oracle(order_max, digit_cap):
             "length": interval_length(prefix),
         }
         for order in range(1, order_max + 1)
-        for prefix in enumerate_prefixes(order, max_digit=digit_cap)
+        for prefix in combinations(range(1, digit_cap + 1), order)
     ]
 
 

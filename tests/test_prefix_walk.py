@@ -13,8 +13,8 @@ from piercesum import (
     PierceSeq,
     box_count_empirical,
     calibrate_product_bound,
+    count_bounded_products,
     cylinder_extrema,
-    enumerate_prefixes,
     estar_by_definition,
     estar_digits,
     evaluate_digits,
@@ -31,11 +31,9 @@ from piercesum.intervals import interval_length, residual_mass
 from piercesum.sequences import walk_prefixes
 
 
-def box_count_oracle(epsilon, sample_depth=None):
+def box_count_oracle(epsilon):
     """Box count by plain recursion over every sampled node, one cell at a time."""
     P, depth_cap = calibrate_product_bound(epsilon)
-    if sample_depth is not None:
-        depth_cap = min(depth_cap, sample_depth)
     en, ed = epsilon.numerator, epsilon.denominator
     cells = set()
 
@@ -68,20 +66,31 @@ epsilons = st.integers(min_value=3, max_value=4096).flatmap(
 )
 
 
-@given(epsilons, st.none() | st.integers(min_value=1, max_value=6))
-@example(F(1, 1024), None)
-@example(F(7, 6000), 3)
+# the oracle stops at the calibrated depth; the walk has only the product cap
+@given(epsilons)
+@example(F(1, 1024))
+@example(F(7, 6000))
 # a 2001-bit denominator, as the eps of lambda_cover_counts(M) has thousands of bits
-@example(F(3**1262 // 100 + 1, 3**1262), None)
+@example(F(3**1262 // 100 + 1, 3**1262))
 # 1/eps a hair off a fraction m/a with a <= P: samples sit exactly on grid lines
-@example(1 / (F(1024) - F(1, 2**200)), None)
-@example(1 / (F(1024) + F(1, 2**200)), None)
-@example(1 / (F(1000, 7) - F(1, 2**200)), 3)
-@example(1 / (F(1000, 7) + F(1, 2**200)), 3)
-@example(lambda_cover_counts(9).epsilon, 2)
+@example(1 / (F(1024) - F(1, 2**200)))
+@example(1 / (F(1024) + F(1, 2**200)))
+@example(1 / (F(1000, 7) - F(1, 2**200)))
+@example(1 / (F(1000, 7) + F(1, 2**200)))
+@example(lambda_cover_counts(9).epsilon)
 @settings(max_examples=40, deadline=None)
-def test_box_count_matches_recursive_oracle(epsilon, sample_depth):
-    assert box_count_empirical(epsilon, sample_depth) == box_count_oracle(epsilon, sample_depth)
+def test_box_count_matches_recursive_oracle(epsilon):
+    assert box_count_empirical(epsilon) == box_count_oracle(epsilon)
+
+
+def test_product_cap_bounds_the_walk_depth():
+    # m is the calibrated depth of box_count_empirical: the largest with m! <= P
+    m = 1
+    for P in range(1, 5001):
+        while math.factorial(m + 1) <= P:
+            m += 1
+        longest = max(len(prefix) for prefix, *_ in walk_prefixes(lambda k, last, prod: P // prod))
+        assert longest == m - 1, P
 
 
 @st.composite
@@ -199,26 +208,11 @@ def test_box_count_oracle_counts_the_seed_pins():
     assert [box_count_oracle(F(1, 2**k)) for k in range(6, 10)] == [160, 336, 721, 1518]
 
 
-def prefixes_oracle(n, max_product, max_digit):
-    top = max_digit if max_digit is not None else max_product
-    return [
-        c
-        for c in combinations(range(1, top + 1), n)
-        if max_product is None or math.prod(c) <= max_product
-    ]
-
-
-@given(
-    st.integers(min_value=1, max_value=5),
-    # exactly one bound: (max_product, None) or (None, max_digit)
-    st.tuples(st.integers(min_value=0, max_value=40), st.none())
-    | st.tuples(st.none(), st.integers(min_value=0, max_value=12)),
-)
-@settings(max_examples=300, deadline=None)
-def test_enumerate_prefixes_matches_filtered_combinations(n, bounds):
-    max_product, max_digit = bounds
-    got = list(enumerate_prefixes(n, max_product=max_product, max_digit=max_digit))
-    assert got == prefixes_oracle(n, max_product, max_digit)
+def test_increasing_count_matches_filtered_combinations():
+    for n in range(1, 6):
+        for p in range(1, 41):
+            oracle = sum(1 for c in combinations(range(1, p + 1), n) if math.prod(c) <= p)
+            assert count_bounded_products(p, n, increasing=True).count == oracle, (p, n)
 
 
 def test_walk_numerators_match_the_digit_kernels():
@@ -290,6 +284,8 @@ def test_cover_sum_and_partition_share_the_residual(n, cap):
 # below (1,) the low branch alone holds k = 2 for y in [-0.1716, -1/6]
 @example([1], F(2, 3))
 @example([1], F(33, 50))
+# k_hi = 5000: the high branch (children 4999, 5000) lies far above the low window
+@example([2, 5], F(3, 2500))
 @settings(max_examples=300, deadline=None)
 def test_qualifying_children_match_a_brute_force_scan(digits, t):
     prefix = tuple(sorted(digits))

@@ -13,7 +13,6 @@ from piercesum import (
     Enclosure,
     PierceSeq,
     constant_stream,
-    enumerate_prefixes,
     expand,
     hat,
     hat_prime,
@@ -54,10 +53,12 @@ class TestPierceSeq:
         with pytest.raises(DomainError):
             PierceSeq((True, 3))
 
-    def test_stream_digits_validated_lazily(self):
-        bad = PierceSeq((5,), DigitStream(1, 0))  # continues 1, 2, ...
+    def test_stream_junction_validated_at_construction(self):
+        with pytest.raises(DomainError, match="breaks monotonicity"):
+            PierceSeq((5,), DigitStream(1, 0))  # continues 1, 2, ...
         with pytest.raises(DomainError):
-            bad.digits(3)
+            PierceSeq((5,), DigitStream(1, 4))  # continues 5, 6, ...
+        assert PierceSeq((5,), DigitStream(1, 5)).digits(3) == (5, 6, 7)
 
     def test_finite_length(self):
         assert PierceSeq((2, 4)).length == 2
@@ -277,34 +278,6 @@ class TestEnclosure:
     def test_round_outward(self):
         enc = Enclosure(F(1, 3), F(2, 3)).round_outward(100)
         assert enc.lo == F(33, 100) and enc.hi == F(67, 100)
-
-
-class TestEnumeratePrefixes:
-    def test_product_bound(self):
-        got = list(enumerate_prefixes(2, max_product=6))
-        assert got == [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3)]
-
-    def test_digit_bound(self):
-        assert list(enumerate_prefixes(1, max_digit=3)) == [(1,), (2,), (3,)]
-
-    def test_infeasible_product(self):
-        # minimum order-3 product is 1*2*3 = 6
-        assert list(enumerate_prefixes(3, max_product=5)) == []
-
-    def test_requires_a_bound(self):
-        with pytest.raises(DomainError):
-            list(enumerate_prefixes(2))
-
-    def test_lexicographic_and_valid(self):
-        got = list(enumerate_prefixes(3, max_digit=7))
-        assert got == sorted(got)
-        assert len(got) == len(set(got)) == math.comb(7, 3)
-        for prefix in got:
-            assert all(d >= k for k, d in enumerate(prefix, start=1))
-
-    def test_combined_bounds(self):
-        with pytest.raises(DomainError):
-            list(enumerate_prefixes(2, max_product=12, max_digit=4))
 
 
 def test_stream_gaps_obey_the_shared_prefix_bound():
