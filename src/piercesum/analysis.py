@@ -15,10 +15,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .certify import exp_enclosure, iroot, log_enclosure, pow_enclosure
-from .core import DepthOverflowError, DomainError, Rat, as_rational
-from .errorsum import cylinder_extrema, esum
-from .intervals import FundInterval, fundamental_interval, residual_mass
-from .sequences import Enclosure, walk_prefixes
+from .core import DepthOverflowError, DomainError, Rat, as_rational, child_numerators
+from .errorsum import _cylinder_extrema, esum
+from .intervals import FundInterval, _fundamental_interval, residual_mass
+from .sequences import Enclosure, PierceSeq, walk_prefixes
 
 
 class ResourceLimitError(RuntimeError):
@@ -216,7 +216,7 @@ def _qualifying_children(prefix, prod, err_num, y):
     k_hi = nq // pd
     first = prefix[-1] + 1
     return [
-        prefix + (k,)
+        k
         for k in (*range(first, min(2, k_hi) + 1), *range(max(first, 3, k_hi - 3), k_hi + 1))
         if (nq - k * pd) * (k + 1) <= nq + yd
     ]
@@ -252,25 +252,23 @@ def ivt_root(a, b, y, width_tol) -> RootBracket:
             raise DepthOverflowError(
                 f"no bracket narrower than {width_tol} found within depth {IVT_MAX_DEPTH}"
             )
-        prefix, prod, value_num, err_num = stack.pop()
+        prefix, prod, value_num, err_num = node = stack.pop()
         n = len(prefix)
         if prod * (prefix[-1] + 1) * tn > td:  # length 1/(prod (last+1)) < width_tol
-            ext = cylinder_extrema(prefix)
-            return RootBracket(fundamental_interval(prefix), ext.minimum, ext.maximum, y)
+            ext = _cylinder_extrema(PierceSeq(prefix), prod, value_num, err_num)
+            return RootBracket(_fundamental_interval(*node), ext.minimum, ext.maximum, y)
         if n >= IVT_MAX_DEPTH:
             continue
-        # child k spans phi (v k + s)/(prod k) .. (v (k+1) + s)/(prod (k+1)), v = value_num,
-        # s = (-1)^n, right end first if s > 0; pushed so the leftmost child pops first
-        s = -1 if n % 2 else 1
+        # child k's cylinder spans phi(child k) .. phi(child k + 1), the right end
+        # first if n is even; pushed so the leftmost child pops first
         children = []
-        for child in _qualifying_children(prefix, prod, err_num, y):
-            k = child[-1]
-            num = value_num * k + s
-            ends = (num, prod * k), (num + value_num, prod * (k + 1))
-            (rn, rd), (ln, ld) = ends if s > 0 else ends[::-1]
+        for k in _qualifying_children(prefix, prod, err_num, y):
+            child = child_numerators(n, prod, value_num, err_num, k)
+            ends = child, child_numerators(n, prod, value_num, err_num, k + 1)
+            (rd, rn, _), (ld, ln, _) = ends[::-1] if n % 2 else ends
             if rn * ad > an * rd and ln * bd < bn * ld:
-                children.append((child, prod * k, num, err_num * k + s * n))
-        stack.extend(children if s > 0 else reversed(children))
+                children.append((prefix + (k,), *child))
+        stack.extend(reversed(children) if n % 2 else children)
     raise ResourceLimitError(f"ivt_root popped {IVT_MAX_NODES} nodes without a bracket")
 
 
@@ -525,17 +523,18 @@ def box_count_empirical(epsilon) -> int:
     P // prod <= m <= its last digit, and no child.
     """
     epsilon = as_rational(epsilon)
-    P, _ = calibrate_product_bound(epsilon)
+    P, m = calibrate_product_bound(epsilon)
     en, ed = _grid_equivalent(epsilon, P)
+    # the children's constant terms by node depth k < m; a call per node cost 2% here
+    consts = [child_numerators(k, 0, 0, 0, 0)[1:] for k in range(m)]
     cells = set()
     for prefix, prod, value_num, err_num, hi in walk_prefixes(lambda k, last, prod: P // prod):
         # child d has cell ((ax d + bx) // (c d), (ay d + by) // (c d)); both
         # indices are monotone in d, so each run of equal cells is one step
-        k = len(prefix)
-        step = -1 if k % 2 else 1
+        x0, y0 = consts[len(prefix)]
         c = prod * en
-        ax, bx = value_num * ed, step * ed
-        ay, by = -err_num * ed, -step * k * ed
+        ax, bx = value_num * ed, x0 * ed
+        ay, by = -err_num * ed, -y0 * ed
         d = prefix[-1] + 1 if prefix else 1
         while d <= hi:
             ix, iy = (ax * d + bx) // (c * d), (ay * d + by) // (c * d)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import chain, combinations, islice
 from math import gcd
 
-from . import analysis, core, errorsum, sequences
+from . import analysis, core, errorsum
 from .core import DepthOverflowError, DomainError, as_rational, constant_stream, expand
 from .sequences import DEFAULT_DEPTH, Enclosure, PierceSeq
 
@@ -74,11 +74,11 @@ def _cmd_expand(args):
     x = as_rational(args.x)
     digits = expand(x)
     rows = []
-    for k in range(1, len(digits) + 1):
-        s_k = sequences.phi_partial(PierceSeq(digits), k)
-        rows.append(
-            _fmt({"k": k, "digit": digits[k - 1], "convergent": s_k, "residual": x - s_k})
-        )
+    prod, v = 1, 0
+    for k, d in enumerate(digits):
+        prod, v, _ = core.child_numerators(k, prod, v, 0, d)
+        s_k = Fraction(v, prod)
+        rows.append(_fmt({"k": k + 1, "digit": d, "convergent": s_k, "residual": x - s_k}))
     return {"x": x, "length": len(digits), "digits": list(digits), "rows": rows}, EXIT_OK
 
 
@@ -116,8 +116,9 @@ def _graph_rows(order_max: int, digit_cap: int):
     for order in range(1, order_max + 1):
         for prefix in combinations(range(1, digit_cap), order - 1):
             head = "(" + "".join(f"{x}," for x in prefix)
+            node = core.digit_numerators(prefix)
             for d in range(prefix[-1] + 1 if prefix else 1, digit_cap + 1):
-                prod, v, e = core.digit_numerators(prefix + (d,))
+                prod, v, e = core.child_numerators(order - 1, *node, d)
                 yield {
                     "sigma": f"{head}{d})",
                     "order": order,

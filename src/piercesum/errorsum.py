@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, Rat, as_rational, digit_numerators, estar_digits, evaluate_digits
-from .core import expand, shift_power
+from .core import DomainError, Rat, as_rational, child_numerators, digit_numerators, estar_digits
+from .core import evaluate_digits, expand, shift_power
 from .intervals import interval_length
 from .sequences import (
     DEFAULT_DEPTH,
@@ -22,7 +22,6 @@ from .sequences import (
     _check_prefix,
     _truncation_bracket,
     as_sequence,
-    hat_prime,
     is_realizable,
 )
 
@@ -176,17 +175,21 @@ def cylinder_extrema(prefix) -> CylinderExtrema:
     which is which flips with the parity of the order.
     """
     here = PierceSeq(prefix)
-    prefix = here.prefix
-    if not prefix:
+    if not here.prefix:
         raise DomainError("cylinder extrema need a non-empty prefix")
-    n, d = len(prefix), prefix[-1]
-    prod, _, err_num = digit_numerators(prefix)
+    return _cylinder_extrema(here, *digit_numerators(here.prefix))
+
+
+def _cylinder_extrema(here: PierceSeq, prod, value_num, err_num) -> CylinderExtrema:
+    """cylinder_extrema of a finite non-empty sequence and its digit_numerators."""
+    n, d = len(here.prefix), here.prefix[-1]
+    there = PierceSeq(here.prefix + (d + 1,))  # hat_prime(here)
+    there_prod, _, there_err = child_numerators(n, prod, value_num, err_num, d + 1)
     at_prefix = Fraction(err_num, prod)
-    there = hat_prime(here)
-    at_there = Fraction(err_num * (d + 1) + (-n if n % 2 else n), prod * (d + 1))
+    at_there = Fraction(there_err, there_prod)
     if n % 2 == 1:
-        return CylinderExtrema(prefix, at_prefix, at_there, here, there)
-    return CylinderExtrema(prefix, at_there, at_prefix, there, here)
+        return CylinderExtrema(here.prefix, at_prefix, at_there, here, there)
+    return CylinderExtrema(here.prefix, at_there, at_prefix, there, here)
 
 
 def oscillation(prefix) -> Rat:
@@ -212,8 +215,7 @@ def recursion_check(x, n: int) -> bool:
     head = digits[:n]
     prod, value_num, total = 1, 0, 0
     for k, d in enumerate(head):
-        prod *= d
-        value_num = value_num * d + (-1 if k % 2 else 1)
+        prod, value_num, _ = child_numerators(k, prod, value_num, 0, d)
         total = total * d + value_num
     rhs = len(head) * x - Fraction(total, prod)
     if n <= len(digits):

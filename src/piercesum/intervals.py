@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import DomainError, Rat, as_rational, digit_numerators, expand
+from .core import DomainError, Rat, as_rational, child_numerators, digit_numerators, expand
 from .sequences import _check_prefix, _realizable_digits
 
 
@@ -56,14 +56,17 @@ def fundamental_interval(prefix) -> FundInterval:
     endpoint and the interval is open on both sides.
     """
     prefix = _check_prefix(prefix)
-    n = len(prefix)
-    if n < 1:
+    if not prefix:
         raise DomainError("fundamental intervals need a non-empty prefix")
-    # hat moves the last term s/prod, s = (-1)^(n-1), to s/(prod/d (d+1))
-    d = prefix[-1]
-    prod, value_num, _ = digit_numerators(prefix)
+    return _fundamental_interval(prefix, *digit_numerators(prefix))
+
+
+def _fundamental_interval(prefix, prod, value_num, err_num) -> FundInterval:
+    """fundamental_interval from a node; phi(hat) is phi of the prefix with last + 1 appended."""
+    n = len(prefix)
     value = Fraction(value_num, prod)
-    hat_value = Fraction(value_num * (d + 1) + (-1 if n % 2 else 1), prod * (d + 1))
+    hat_prod, hat_num, _ = child_numerators(n, prod, value_num, err_num, prefix[-1] + 1)
+    hat_value = Fraction(hat_num, hat_prod)
     if n % 2 == 1:
         return FundInterval(prefix, n, hat_value, value, False, _realizable_digits(prefix))
     return FundInterval(prefix, n, value, hat_value, _realizable_digits(prefix), False)

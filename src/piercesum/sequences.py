@@ -20,6 +20,7 @@ from .core import (
     DigitStream,
     DomainError,
     Rat,
+    child_numerators,
     evaluate_digits,
 )
 
@@ -349,13 +350,12 @@ def walk_prefixes(last_child) -> Iterator[tuple[tuple[int, ...], int, int, int, 
         prefix, prod, value_num, err_num, hi = node
         last = prefix[-1] if prefix else 0
         k = len(prefix)
-        step = -1 if k % 2 else 1  # sign of the term the next digit adds
         children = []
         for d in range(last + 1, hi + 1):
             child_hi = last_child(k + 1, d, prod * d)
             if child_hi <= d:
                 break
             children.append(
-                (prefix + (d,), prod * d, value_num * d + step, err_num * d + step * k, child_hi)
+                (prefix + (d,), *child_numerators(k, prod, value_num, err_num, d), child_hi)
             )
         stack.extend(reversed(children))

@@ -26,7 +26,7 @@ from piercesum import (
 )
 from piercesum import analysis, lambda_cover_counts
 from piercesum.analysis import _grid_equivalent, _qualifying_children, _run_end
-from piercesum.core import digit_numerators
+from piercesum.core import child_numerators, digit_numerators
 from piercesum.intervals import interval_length, residual_mass
 from piercesum.sequences import walk_prefixes
 
@@ -259,17 +259,27 @@ def test_variation_matches_the_partition_oracle(n):
         assert rep.residual_mass == partition(n, cap).residual and rep.total == n
 
 
-@given(st.lists(st.integers(min_value=1, max_value=40), max_size=7, unique=True))
-@example([])
-@example([1, 2])
+@given(
+    st.lists(st.integers(min_value=1, max_value=40), max_size=7, unique=True),
+    st.integers(min_value=1, max_value=40),
+)
+@example([], 1)
+@example([1, 2], 1)
 @settings(max_examples=300, deadline=None)
-def test_digit_numerators_match_the_definitions(digits):
+def test_digit_numerators_match_the_definitions(digits, step):
     prefix = tuple(sorted(digits))
     prod, value_num, err_num = digit_numerators(prefix)
     assert prod == math.prod(prefix)
     series = sum((F((-1) ** k, math.prod(prefix[: k + 1])) for k in range(len(prefix))), F(0))
     assert F(value_num, prod) == series == phi(PierceSeq(prefix)).lo
     assert F(err_num, prod) == estar_by_definition(PierceSeq(prefix)).lo
+    # one kernel step appends a digit d > prefix[-1]; at d = 0 it gives the constant terms
+    n, d = len(prefix), (prefix[-1] if prefix else 0) + step
+    child = child_numerators(n, prod, value_num, err_num, d)
+    assert child == digit_numerators(prefix + (d,))
+    assert F(child[1], child[0]) == series + F((-1) ** n, prod * d)
+    assert F(child[2], child[0]) == estar_by_definition(PierceSeq(prefix + (d,))).lo
+    assert child_numerators(n, prod, value_num, err_num, 0) == (0, (-1) ** n, (-1) ** n * n)
 
 
 @pytest.mark.parametrize("n,cap", [(1, 10), (2, 8), (3, 9), (4, 8)])
@@ -299,5 +309,5 @@ def test_qualifying_children_match_a_brute_force_scan(digits, t):
     for k in range(prefix[-1] + 1, horizon + 1):
         child = cylinder_extrema(prefix + (k,))
         if child.minimum <= y <= child.maximum:
-            brute.append(prefix + (k,))
+            brute.append(k)
     assert _qualifying_children(prefix, prod, int(value * prod), y) == brute
