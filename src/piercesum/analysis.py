@@ -12,12 +12,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .certify import exp_enclosure, iroot, log_enclosure, pow_enclosure
-from .core import DepthOverflowError, DomainError, Rat, as_rational, child_numerators
+from .core import MAX_DEPTH, DepthOverflowError, DomainError, Rat, as_rational, child_numerators
 from .errorsum import _cylinder_extrema, esum
-from .intervals import FundInterval, _fundamental_interval, residual_mass
+from .intervals import FundInterval, _fundamental_interval, capped_masses
 from .sequences import Enclosure, PierceSeq, walk_prefixes
 
 
@@ -32,7 +31,6 @@ class DegenerateFitError(ValueError):
 SERIES_TERMS = 48  # first term count of the e^x and log enclosures; retries double it
 COVER_SCALE = 10**18  # fixed-point scale of the cover-sum root brackets
 IVT_MAX_NODES = 10**6  # nodes one ivt_root call may pop; typical calls pop a handful
-IVT_MAX_DEPTH = 64  # longest prefix ivt_root refines; its brackets end far shallower
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +139,10 @@ def variation_over_partition(n: int, digit_cap: "int | None" = None) -> Variatio
 
     Uncapped, the answer is exactly n: every level of the partition carries
     unit total length, so a candidate variation bound V is already exceeded
-    at order ceil(V) + 1.  With a digit cap the enumerated part, summed in
-    closed form per child run of the prefix walk, and the closed-form
-    residual are returned separately; they recombine to n exactly, which is
+    at order ceil(V) + 1.  With a digit cap, an interval's oscillation is n
+    times its length, so the capped sum and the residual both come from the
+    one digit pass of ``capped_masses``: the forward sum of child lengths
+    and the telescoped tails.  They recombine to n exactly, which is
     asserted as a two-route consistency check.
     """
     if n < 1:
@@ -152,12 +151,8 @@ def variation_over_partition(n: int, digit_cap: "int | None" = None) -> Variatio
         return VariationReport(n, None, Fraction(n), Fraction(0))
     if digit_cap < 1:
         raise DomainError("digit cap must be >= 1")
-    # the lengths 1/(prod d (d+1)) of an order n-1 prefix's children telescope
-    covered = Fraction(0)
-    for prefix in combinations(range(1, digit_cap), n - 1):
-        first = prefix[-1] + 1 if prefix else 1
-        covered += Fraction(digit_cap + 1 - first, math.prod(prefix) * first * (digit_cap + 1))
-    report = VariationReport(n, digit_cap, n * covered, residual_mass(n, digit_cap))
+    covered, residual = capped_masses(n, digit_cap)
+    report = VariationReport(n, digit_cap, n * covered, residual)
     if report.total != n:
         raise AssertionError(f"partition mass identity failed at order {n}, cap {digit_cap}")
     return report
@@ -250,14 +245,14 @@ def ivt_root(a, b, y, width_tol) -> RootBracket:
     for _ in range(IVT_MAX_NODES):
         if not stack:
             raise DepthOverflowError(
-                f"no bracket narrower than {width_tol} found within depth {IVT_MAX_DEPTH}"
+                f"no bracket narrower than {width_tol} found within depth {MAX_DEPTH}"
             )
         prefix, prod, value_num, err_num = node = stack.pop()
         n = len(prefix)
         if prod * (prefix[-1] + 1) * tn > td:  # length 1/(prod (last+1)) < width_tol
             ext = _cylinder_extrema(PierceSeq(prefix), prod, value_num, err_num)
             return RootBracket(_fundamental_interval(*node), ext.minimum, ext.maximum, y)
-        if n >= IVT_MAX_DEPTH:
+        if n >= MAX_DEPTH:
             continue
         # child k's cylinder spans phi(child k) .. phi(child k + 1), the right end
         # first if n is even; pushed so the leftmost child pops first
@@ -347,7 +342,7 @@ def hausdorff_cover_sum(n: int, s, digit_cap: int) -> CoverSum:
         root = iroot(shifted, 2 * q)
         lo_total += mult * root
         hi_total += mult * (root + 2 if (root + 1) ** (2 * q) == shifted + 1 else root + 1)
-    residual = residual_mass(n, digit_cap)
+    residual = capped_masses(n, digit_cap)[1]
 
     # every omitted interval has some digit > cap, so its length is at most
     longest_omitted = Fraction(1, math.factorial(n - 1) * (digit_cap + 1) * (digit_cap + 2))
@@ -653,8 +648,7 @@ def count_bounded_products(
             f = {c: sum(run * (1 + f[q]) for q, run in runs(c)) for c in states}
         count = f[p]
 
-    base = Enclosure.exact(2) + log_enclosure(p, SERIES_TERMS) if p > 1 else Enclosure.exact(2)
-    bound = p * base.power(m - 1)
+    bound = p * (Enclosure.exact(2) + log_enclosure(p, SERIES_TERMS)).power(m - 1)
     if increasing:
         bound = bound * Fraction(1, math.factorial(m))
     return CountReport(p, m, increasing, count, bound.round_outward())

@@ -177,8 +177,8 @@ def _cmd_variation(args):
 
 
 def _cmd_dimension(args):
-    if args.pow_min >= args.pow_max:
-        raise DomainError("need pow-min < pow-max for a decreasing scale sweep")
+    if not 1 <= args.pow_min < args.pow_max:
+        raise DomainError("need 1 <= pow-min < pow-max for a decreasing scale sweep")
     scales = [Fraction(1, 2**p) for p in range(args.pow_min, args.pow_max + 1)]
     counts = analysis.box_count_sweep(scales)
     fit = analysis.dimension_slope(counts)

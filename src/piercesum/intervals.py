@@ -85,7 +85,7 @@ class Partition:
     """All order-n intervals with digits <= cap, plus the mass left out.
 
     The residual comes from the closed form of the pruned tails (see
-    ``residual_mass``), not from 1 minus the enumerated mass, so enumerated
+    ``capped_masses``), not from 1 minus the enumerated mass, so enumerated
     mass + residual = 1 is an exact two-route identity, not a definition.
     """
 
@@ -99,20 +99,23 @@ class Partition:
         return sum((iv.length for iv in self.intervals), Fraction(0))
 
 
-def residual_mass(n: int, digit_cap: int) -> Rat:
-    """Total length of the order-n intervals with some digit above digit_cap.
+def capped_masses(n: int, digit_cap: int) -> tuple[Rat, Rat]:
+    """Total lengths of the order-n intervals with all digits <= digit_cap, and of the rest.
 
+    With e_j the elementary symmetric sums of 1, 1/2, ..., 1/(d-1), the
+    intervals whose last digit is d have total length e_{n-1}/(d(d+1)).
     Below a prefix with digit product P, the intervals whose next digit
     exceeds the cap have total length 1/(P (cap+1)), since the lengths
-    1/(P k (k+1)) telescope.  Summing over the prefixes of 0..n-1 digits
-    <= cap gives sum_{j<n} e_j(1, 1/2, ..., 1/cap) / (cap+1), with e_j the
-    elementary symmetric sums, computed exactly in O(n cap) steps.
+    1/(P k (k+1)) telescope; so the residual is sum_{j<n} e_j / (cap+1)
+    over the final e_j.  One pass over d gives both exactly in O(n cap) steps.
     """
     e = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    covered = Fraction(0)
     for d in range(1, digit_cap + 1):
+        covered += e[n - 1] / (d * (d + 1))
         for j in range(n - 1, 0, -1):
             e[j] += e[j - 1] / d
-    return sum(e) / (digit_cap + 1)
+    return covered, sum(e) / (digit_cap + 1)
 
 
 def partition(n: int, digit_cap: int) -> Partition:
@@ -126,7 +129,7 @@ def partition(n: int, digit_cap: int) -> Partition:
     if digit_cap < 1:
         raise DomainError("digit cap must be >= 1")
     intervals = tuple(fundamental_interval(p) for p in combinations(range(1, digit_cap + 1), n))
-    return Partition(n, digit_cap, intervals, residual_mass(n, digit_cap))
+    return Partition(n, digit_cap, intervals, capped_masses(n, digit_cap)[1])
 
 
 def locate(x, n: int) -> tuple[int, ...]:

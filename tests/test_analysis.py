@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piercesum import (
+    MAX_DEPTH,
     DegenerateFitError,
     DepthOverflowError,
     DomainError,
+    Enclosure,
     FundInterval,
     ResourceLimitError,
     RootBracket,
@@ -132,7 +134,8 @@ class TestVariation:
         assert rep.total == 1
 
     def test_capped_plus_residual_recovers_order(self):
-        for n, cap in [(1, 5), (2, 7), (3, 6), (4, 9)]:
+        # (6, 1000) covers C(999, 5), about 8.25e12 prefixes, in one digit pass
+        for n, cap in [(1, 5), (2, 7), (3, 6), (4, 9), (6, 1000)]:
             rep = variation_over_partition(n, cap)
             assert rep.capped_sum + n * rep.residual_mass == n
 
@@ -194,7 +197,7 @@ def _qualifying_children_oracle(prefix, y):
     return out
 
 
-def ivt_root_oracle(a, b, y, width_tol, depth_cap=64):
+def ivt_root_oracle(a, b, y, width_tol, depth_cap=MAX_DEPTH):
     # oracle: recursive leftmost-first refinement, children sorted by the
     # left end of their interval
     def intersects(iv):
@@ -307,13 +310,20 @@ class TestIvtRoot:
     def test_depth_exhaustion_backtracks_then_raises(self, monkeypatch):
         args = (F(9, 25), F(39, 100), F(-1, 10), F(1, 10**9))
         for depth_cap in (6, 7):  # the bracket has 8 digits
-            monkeypatch.setattr(analysis, "IVT_MAX_DEPTH", depth_cap)
+            monkeypatch.setattr(analysis, "MAX_DEPTH", depth_cap)
             with pytest.raises(DepthOverflowError):
                 ivt_root(*args)
-        monkeypatch.setattr(analysis, "IVT_MAX_DEPTH", 8)
+        monkeypatch.setattr(analysis, "MAX_DEPTH", 8)
         bracket = ivt_root(*args)
         assert bracket.interval.sigma == (2, 3, 4, 7, 19, 24, 29, 34)
         assert bracket == ivt_root_oracle(*args, depth_cap=8)
+
+    def test_tiny_tolerance_refines_past_order_64(self):
+        # the one depth cap bounds the refinement: 10^-200 needs an order-90 bracket
+        args = (F(9, 25), F(39, 100), F(-1, 10), F(1, 10**200))
+        bracket = ivt_root(*args)
+        assert bracket.interval.order == 90 and bracket.interval.length < args[-1]
+        assert bracket == ivt_root_oracle(*args)
 
     def test_node_budget_raises(self, monkeypatch):
         # the bracket of this triple has 8 digits, so it pops more than one node
@@ -540,6 +550,9 @@ class TestCountBoundedProducts:
     def test_all_ones(self):
         assert count_bounded_products(1, 4).count == 4
         assert count_bounded_products(1, 3, increasing=True).count == 0
+        # log 1 encloses exactly 0, so the bound at p = 1 is the exact 2^(m-1)
+        for m in range(1, 6):
+            assert count_bounded_products(1, m).bound == Enclosure.exact(2 ** (m - 1))
 
     @pytest.mark.parametrize("p,m", [(6, 2), (10, 3), (24, 4), (50, 2)])
     def test_against_brute_force(self, p, m):

@@ -155,6 +155,11 @@ class TestDimension:
         )
         assert code == 2 and payload["in_band"] is False
 
+    def test_pow_min_below_one_rejected(self, capsys):
+        for pow_min in ("0", "-1"):
+            code, _, err = run(capsys, "dimension", "--pow-min", pow_min, "--pow-max", "7")
+            assert code == 1 and "domain error:" in err and "Traceback" not in err
+
     def test_sample_depth_below_one_rejected(self, capsys):
         # the flag is gone: the product cap alone bounds the sample depth
         for depth in ("0", "-5"):

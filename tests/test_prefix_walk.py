@@ -27,7 +27,7 @@ from piercesum import (
 from piercesum import analysis, lambda_cover_counts
 from piercesum.analysis import _grid_equivalent, _qualifying_children, _run_end
 from piercesum.core import child_numerators, digit_numerators
-from piercesum.intervals import interval_length, residual_mass
+from piercesum.intervals import capped_masses, interval_length
 from piercesum.sequences import walk_prefixes
 
 
@@ -177,7 +177,7 @@ def cover_sum_oracle(n, s, digit_cap, scale):
         shifted = base.numerator * scale ** (2 * q) // base.denominator
         lo_total += floor_root(shifted, 2 * q)
         hi_total += floor_root(shifted + 1, 2 * q) + 1
-    residual = residual_mass(n, digit_cap)
+    residual = capped_masses(n, digit_cap)[1]
     longest_omitted = F(1, math.factorial(n - 1) * (digit_cap + 1) * (digit_cap + 2))
 
     def pow_hi(x, e):  # upper end of the floor-root bracket of x^e at this scale
@@ -243,7 +243,7 @@ def test_residual_closed_form_matches_brute_force(n, cap):
         (F(1, math.prod(c) * (cap + 1)) for j in range(n) for c in combinations(range(1, cap + 1), j)),
         F(0),
     )
-    assert residual_mass(n, cap) == brute
+    assert capped_masses(n, cap)[1] == brute
 
 
 def variation_oracle(n, cap):
