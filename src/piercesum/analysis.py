@@ -30,7 +30,7 @@ class DegenerateFitError(ValueError):
 
 SERIES_TERMS = 48  # first term count of the e^x and log enclosures; retries double it
 COVER_SCALE = 10**18  # fixed-point scale of the cover-sum root brackets
-IVT_MAX_NODES = 10**6  # nodes one ivt_root call may pop; typical calls pop a handful
+IVT_MAX_NODES = 10**6  # nodes one ivt_root call may visit; typical calls visit a handful
 
 
 # ---------------------------------------------------------------------------
@@ -234,37 +234,40 @@ def ivt_root(a, b, y, width_tol) -> RootBracket:
     if not ea < y < eb:
         raise DomainError(f"need E(a) < y < E(b), got E(a)={ea}, y={y}, E(b)={eb}")
 
-    # order-1 cylinders (1/(k+1), 1/k] meet (a, b) exactly for k_min..k_max,
-    # a > 0 as E(a) < y <= 0; their E* ranges are [-1/(k(k+1)), 0].  A node
-    # holds its prefix, prod and the phi and E* numerators over prod.
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    ad, bd = a.denominator, b.denominator
+    an, bn, D = a.numerator * bd, b.numerator * ad, ad * bd  # a, b = an/D, bn/D
     yn, yd, tn, td = y.numerator, y.denominator, width_tol.numerator, width_tol.denominator
+    # order-1 cylinders (1/(k+1), 1/k] meet (a, b) exactly for k_min..ceil(1/a) - 1,
+    # a > 0 as E(a) < y < 0; their E* ranges [-1/(k(k+1)), 0] hold y while k(k+1) <= 1/|y|
     k_min = max(1, math.floor((1 - b) / b) + 1)
-    k_max = math.ceil(Fraction(1) / a) - 1
-    stack = [((k,), k, 1, 0) for k in range(k_min, k_max + 1) if yn * k * (k + 1) >= -yd]
-    for _ in range(IVT_MAX_NODES):
-        if not stack:
-            raise DepthOverflowError(
-                f"no bracket narrower than {width_tol} found within depth {MAX_DEPTH}"
-            )
-        prefix, prod, value_num, err_num = node = stack.pop()
+    k_top = min(math.ceil(1 / a) - 1, (math.isqrt(4 * (yd // -yn) + 1) - 1) // 2)
+
+    def children(node):
+        prefix, prod, value_num, err_num = node
         n = len(prefix)
+        if not n:
+            return range(k_top, k_min - 1, -1)
+        if n >= MAX_DEPTH:
+            return ()
+        # in units of 1/prod about phi(prefix), mirrored for odd n, child k's cylinder
+        # spans [1/(k+1), 1/k]; it meets (a, b), moved likewise to (lo/D, hi/D), iff
+        # k lo < D < (k+1) hi.  phi(child k) rises with k for odd n; leftmost first
+        lo, hi = an * prod - value_num * D, bn * prod - value_num * D
+        if n % 2:
+            lo, hi = -hi, -lo
+        ks = _qualifying_children(prefix, prod, err_num, y)[:: 1 if n % 2 else -1]
+        return [k for k in ks if k * lo < D < (k + 1) * hi]
+
+    nodes = walk_prefixes(children)
+    next(nodes)  # the empty prefix, whose cylinder is all of [0, 1]
+    for visited, node in enumerate(nodes):
+        if visited == IVT_MAX_NODES:
+            raise ResourceLimitError(f"ivt_root visited {IVT_MAX_NODES} nodes without a bracket")
+        prefix, prod, value_num, err_num = node
         if prod * (prefix[-1] + 1) * tn > td:  # length 1/(prod (last+1)) < width_tol
             ext = _cylinder_extrema(PierceSeq(prefix), prod, value_num, err_num)
             return RootBracket(_fundamental_interval(*node), ext.minimum, ext.maximum, y)
-        if n >= MAX_DEPTH:
-            continue
-        # child k's cylinder spans phi(child k) .. phi(child k + 1), the right end
-        # first if n is even; pushed so the leftmost child pops first
-        children = []
-        for k in _qualifying_children(prefix, prod, err_num, y):
-            child = child_numerators(n, prod, value_num, err_num, k)
-            ends = child, child_numerators(n, prod, value_num, err_num, k + 1)
-            (rd, rn, _), (ld, ln, _) = ends[::-1] if n % 2 else ends
-            if rn * ad > an * rd and ln * bd < bn * ld:
-                children.append((prefix + (k,), *child))
-        stack.extend(reversed(children) if n % 2 else children)
-    raise ResourceLimitError(f"ivt_root popped {IVT_MAX_NODES} nodes without a bracket")
+    raise DepthOverflowError(f"no bracket narrower than {width_tol} found within depth {MAX_DEPTH}")
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +500,13 @@ def _grid_equivalent(epsilon: Fraction, bound: int) -> tuple[int, int]:
     return q0 + k * q1, p0 + k * p1
 
 
+def _sample_parents(P: int):
+    """box_count_empirical's child rule: digit d has samples below it while prod d (d+1) <= P."""
+    return lambda node: range(
+        node[0][-1] + 1 if node[0] else 1, (math.isqrt(4 * (P // node[1]) + 1) - 1) // 2 + 1
+    )
+
+
 def box_count_empirical(epsilon) -> int:
     """Occupied eps-grid squares over samples of the reflected graph.
 
@@ -523,14 +533,14 @@ def box_count_empirical(epsilon) -> int:
     # the children's constant terms by node depth k < m; a call per node cost 2% here
     consts = [child_numerators(k, 0, 0, 0, 0)[1:] for k in range(m)]
     cells = set()
-    for prefix, prod, value_num, err_num, hi in walk_prefixes(lambda k, last, prod: P // prod):
-        # child d has cell ((ax d + bx) // (c d), (ay d + by) // (c d)); both
-        # indices are monotone in d, so each run of equal cells is one step
+    for prefix, prod, value_num, err_num in walk_prefixes(_sample_parents(P)):
+        # child d <= hi = P // prod has cell ((ax d + bx) // (c d), (ay d + by) // (c d));
+        # both indices are monotone in d, so each run of equal cells is one step
         x0, y0 = consts[len(prefix)]
         c = prod * en
         ax, bx = value_num * ed, x0 * ed
         ay, by = -err_num * ed, -y0 * ed
-        d = prefix[-1] + 1 if prefix else 1
+        d, hi = prefix[-1] + 1 if prefix else 1, P // prod
         while d <= hi:
             ix, iy = (ax * d + bx) // (c * d), (ay * d + by) // (c * d)
             cells.add((ix, iy))
@@ -557,7 +567,9 @@ class SlopeFit:
 
 def dimension_slope(points) -> SlopeFit:
     """Fit log(count) on log(1/eps) exactly, rounded once; the slope estimates the dimension."""
-    pts = [(as_rational(e), int(c)) for e, c in points]
+    pts = [(as_rational(e), c) for e, c in points]
+    if any(type(c) is not int for _, c in pts):
+        raise DomainError(f"counts must be ints, got {[c for _, c in pts]}")
     if len(pts) < 3:
         raise DegenerateFitError("need at least 3 scales for a slope")
     if any(e2 >= e1 for (e1, _), (e2, _) in zip(pts, pts[1:])):
@@ -613,22 +625,18 @@ def count_bounded_products(
         raise ResourceLimitError(f"p*m = {p * m} exceeds budget {budget}")
 
     if increasing:
-        # a k-digit prefix keeps child d while the cheapest completion
-        # d (d+1) ... (d+m-k-1) keeps the product within p, so each
-        # (m-1)-digit node has hi - last choices of its m-th digit
-        def last_child(k, last, prod):
-            if k >= m:
-                return 0
-            if k == m - 1:
-                return p // prod
-            d = last
-            while prod * math.prod(range(d + 1, d + 1 + m - k)) <= p:
+        # a k-digit prefix, k < m - 1, descends into child d while its cheapest completion
+        # d (d+1) ... (d+m-k-1) stays within p; an (m-1)-digit node counts p // prod - last
+        def children(node):
+            prefix, prod, _, _ = node
+            k, d = len(prefix), prefix[-1] if prefix else 0
+            while k < m - 1 and prod * math.prod(range(d + 1, d + 1 + m - k)) <= p:
                 d += 1
-            return d
+            return range(prefix[-1] + 1 if prefix else 1, d + 1)
 
         count = sum(
-            hi - (prefix[-1] if prefix else 0)
-            for prefix, _, _, _, hi in walk_prefixes(last_child)
+            p // prod - (prefix[-1] if prefix else 0)
+            for prefix, prod, _, _ in walk_prefixes(children)
             if len(prefix) == m - 1
         )
     else:

@@ -147,6 +147,7 @@ def _decimal_str(value: Fraction, digits: int = 20) -> str:
 
 
 def _cmd_integral(args):
+    tol = None if args.tolerance is None else as_rational(args.tolerance)
     rep = analysis.integrate_esum(args.grid)
     payload = {
         "grid": rep.grid,
@@ -156,8 +157,7 @@ def _cmd_integral(args):
         "deviation": rep.deviation,
         "quantization": rep.quantization,
     }
-    if args.tolerance is not None:
-        tol = as_rational(args.tolerance)
+    if tol is not None:
         payload["tolerance"] = tol
         payload["within_tolerance"] = abs(rep.deviation) <= tol
         if not payload["within_tolerance"]:
@@ -179,13 +179,13 @@ def _cmd_variation(args):
 def _cmd_dimension(args):
     if not 1 <= args.pow_min < args.pow_max:
         raise DomainError("need 1 <= pow-min < pow-max for a decreasing scale sweep")
-    scales = [Fraction(1, 2**p) for p in range(args.pow_min, args.pow_max + 1)]
-    counts = analysis.box_count_sweep(scales)
-    fit = analysis.dimension_slope(counts)
     try:
         lo, hi = (float(x) for x in args.band.split(":"))
     except ValueError:
         raise DomainError(f"cannot parse band {args.band!r}, expected lo:hi") from None
+    scales = [Fraction(1, 2**p) for p in range(args.pow_min, args.pow_max + 1)]
+    counts = analysis.box_count_sweep(scales)
+    fit = analysis.dimension_slope(counts)
     payload = {
         "rows": _fmt([{"epsilon": e, "count": c} for e, c in counts]),
         "slope": fit.slope,
@@ -198,9 +198,7 @@ def _cmd_dimension(args):
 
 
 def _cmd_ivt(args):
-    bracket = analysis.ivt_root(
-        as_rational(args.a), as_rational(args.b), as_rational(args.y), as_rational(args.tol)
-    )
+    bracket = analysis.ivt_root(args.a, args.b, args.y, args.tol)
     iv = bracket.interval
     return {
         "a": as_rational(args.a),

@@ -328,34 +328,27 @@ def rho_seq(sigma, tau, depth: int = DEFAULT_DEPTH) -> Enclosure:
     return Enclosure(total, total + Fraction(4, fact * (horizon + 1)))
 
 
-def walk_prefixes(last_child) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
-    """Every strictly increasing prefix that has a child, with its child range.
+def walk_prefixes(children) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
+    """Every strictly increasing prefix a child rule reaches, in preorder.
 
-    Yields ``(prefix, prod, value_num, err_num, hi)`` in lexicographic
-    preorder, starting at the empty prefix: the digit product, phi and E* of
-    the prefix as numerators over that product, and the largest child
-    digit, so the children are prefix[-1]+1 .. hi.  ``last_child(k, last,
-    prod)`` gives hi for a k-digit prefix ending in ``last`` with digit
-    product ``prod``; hi <= last means no child.  Children that have a child
-    must form a leading run of each range, since pushing stops at the first
-    child without one.  The stack is explicit, so depth is not limited by
-    the recursion limit.  Its callers are the product-bounded trees of
-    ``analysis.box_count_empirical`` and ``analysis.count_bounded_products``.
+    Yields ``(prefix, prod, value_num, err_num)`` from the empty prefix on:
+    the digit product, and phi and E* as numerators over it.
+    ``children(node)`` gives the digits below a yielded node in visiting
+    order.  The walk is lazy, stepping a child only when it reaches it, so
+    a rule may be unbounded; the stack is explicit, so depth is not limited
+    by the recursion limit.  Callers: the product-bounded trees of
+    ``analysis.box_count_empirical`` and ``analysis.count_bounded_products``,
+    and ``analysis.ivt_root``'s bracketing cylinders.
     """
-    root = ((), 1, 0, 0, last_child(0, 0, 1))
-    stack = [root] if root[-1] > 0 else []
+    root = ((), 1, 0, 0)
+    yield root
+    stack = [(root, iter(children(root)))]
     while stack:
-        node = stack.pop()
+        (prefix, prod, value_num, err_num), digits = stack[-1]
+        d = next(digits, None)
+        if d is None:
+            stack.pop()
+            continue
+        node = (prefix + (d,), *child_numerators(len(prefix), prod, value_num, err_num, d))
         yield node
-        prefix, prod, value_num, err_num, hi = node
-        last = prefix[-1] if prefix else 0
-        k = len(prefix)
-        children = []
-        for d in range(last + 1, hi + 1):
-            child_hi = last_child(k + 1, d, prod * d)
-            if child_hi <= d:
-                break
-            children.append(
-                (prefix + (d,), *child_numerators(k, prod, value_num, err_num, d), child_hi)
-            )
-        stack.extend(reversed(children))
+        stack.append((node, iter(children(node))))

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -331,6 +332,16 @@ class TestIvtRoot:
         with pytest.raises(ResourceLimitError):
             ivt_root(F(9, 25), F(39, 100), F(-1, 10), F(1, 10**9))
 
+    def test_far_left_window_is_visited_lazily(self):
+        # a just right of 1/10^9: the order-1 window holds about 10^9 digits, and
+        # its leftmost cylinder (999999999,) is already narrower than the tolerance
+        a = F(1, 10**9) + F(1, 10**19)
+        start = time.process_time()
+        bracket = ivt_root(a, F(1, 2), esum(a) / 2, F(1, 10**9))
+        assert time.process_time() - start < 0.5
+        assert bracket.interval.sigma == (999999999,)
+        assert bracket.interval.right > a
+
     def test_random_triples_small(self):
         rng = random.Random(5)
         done = 0
@@ -453,6 +464,12 @@ class TestDimensionSlope:
     def test_constant_counts_degenerate(self):
         with pytest.raises(DegenerateFitError):
             dimension_slope([(F(1, 4), 7), (F(1, 8), 7), (F(1, 16), 7)])
+
+    def test_non_integer_counts_rejected(self):
+        # int(c) would fit 3, 7 and 15 without a word
+        for counts in ([3.7, 7.9, 15.2], [True, 2, 4], [F(3), 7, 15]):
+            with pytest.raises(DomainError):
+                dimension_slope(zip([F(1, 2), F(1, 4), F(1, 8)], counts))
 
     def test_too_few_points(self):
         with pytest.raises(DegenerateFitError):

@@ -124,6 +124,14 @@ class TestIntegral:
         code, _, err = run(capsys, "integral", "--grid", grid)
         assert code == 3 and "resource limit" in err
 
+    def test_bad_tolerance_fails_before_the_grid_sum(self, capsys, monkeypatch):
+        def refuse(grid):
+            raise AssertionError("grid sum started before the tolerance was parsed")
+
+        monkeypatch.setattr(analysis, "integrate_esum", refuse)
+        code, out, err = run(capsys, "integral", "--grid", "1048576", "--tolerance", "0.1")
+        assert code == 1 and out == "" and "cannot parse rational literal" in err
+
 
 class TestVariation:
     def test_analytic(self, capsys):
@@ -154,6 +162,14 @@ class TestDimension:
             capsys, "dimension", "--pow-min", "4", "--pow-max", "7", "--band", "2:3"
         )
         assert code == 2 and payload["in_band"] is False
+
+    def test_bad_band_fails_before_the_sweep(self, capsys, monkeypatch):
+        def refuse(scales):
+            raise AssertionError("sweep started before the band was parsed")
+
+        monkeypatch.setattr(analysis, "box_count_sweep", refuse)
+        code, out, err = run(capsys, "dimension", "--band", "bad")
+        assert code == 1 and out == "" and "cannot parse band" in err
 
     def test_pow_min_below_one_rejected(self, capsys):
         for pow_min in ("0", "-1"):

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, count, islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +25,7 @@ from piercesum import (
     variation_over_partition,
 )
 from piercesum import analysis, lambda_cover_counts
-from piercesum.analysis import _grid_equivalent, _qualifying_children, _run_end
+from piercesum.analysis import _grid_equivalent, _qualifying_children, _run_end, _sample_parents
 from piercesum.core import child_numerators, digit_numerators
 from piercesum.intervals import capped_masses, interval_length
 from piercesum.sequences import walk_prefixes
@@ -89,7 +89,7 @@ def test_product_cap_bounds_the_walk_depth():
     for P in range(1, 5001):
         while math.factorial(m + 1) <= P:
             m += 1
-        longest = max(len(prefix) for prefix, *_ in walk_prefixes(lambda k, last, prod: P // prod))
+        longest = max(len(prefix) for prefix, *_ in walk_prefixes(_sample_parents(P)))
         assert longest == m - 1, P
 
 
@@ -216,12 +216,18 @@ def test_increasing_count_matches_filtered_combinations():
 
 
 def test_walk_numerators_match_the_digit_kernels():
-    def last_child(k, last, prod):
-        return 7 if k < 3 else 0
+    def children(node):
+        prefix = node[0]
+        return range(prefix[-1] + 1 if prefix else 1, 8) if len(prefix) < 3 else ()
 
-    for prefix, prod, value_num, err_num, hi in walk_prefixes(last_child):
+    nodes = list(walk_prefixes(children))
+    # every increasing prefix of at most 3 digits below 8, in lexicographic preorder
+    assert [prefix for prefix, *_ in nodes] == sorted(
+        c for n in range(4) for c in combinations(range(1, 8), n)
+    )
+    for prefix, prod, value_num, err_num in nodes:
         assert digit_numerators(prefix) == (prod, value_num, err_num)
-        assert prod == math.prod(prefix) and hi == 7
+        assert prod == math.prod(prefix)
         assert F(value_num, prod) == evaluate_digits(prefix)
         assert F(err_num, prod) == estar_digits(prefix)
 
@@ -229,11 +235,22 @@ def test_walk_numerators_match_the_digit_kernels():
 def test_walk_is_not_limited_by_the_recursion_limit():
     depth = 3000
 
-    def last_child(k, last, prod):
-        return last + 1 if k < depth else 0
+    def children(node):
+        prefix = node[0]
+        return (len(prefix) + 1,) if len(prefix) < depth else ()
 
-    *_, (prefix, _, _, _, hi) = walk_prefixes(last_child)
-    assert prefix == tuple(range(1, depth)) and hi == depth
+    *_, (prefix, prod, _, _) = walk_prefixes(children)
+    assert prefix == tuple(range(1, depth + 1)) and prod == math.factorial(depth)
+
+
+def test_walk_expands_children_lazily():
+    # unbounded rules at two levels: the walk still yields its first nodes in order
+    def children(node):
+        prefix = node[0]
+        return count(prefix[-1] + 1 if prefix else 1) if len(prefix) < 2 else ()
+
+    first = [prefix for prefix, *_ in islice(walk_prefixes(children), 5)]
+    assert first == [(), (1,), (1, 2), (1, 3), (1, 4)]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
