@@ -44,7 +44,8 @@ IVT_MAX_NODES = 10**6  # nodes one ivt_root call may visit; typical calls visit 
 #: come from the shift recursion on the grid: with d = N // k, r = N mod k
 #: and H(k) = S*k + S*N*E(k/N), H(k) = S*k - H(r)/d; so floor(H(k)) =
 #: S*k - ceil(ceil(H(r))/d), ceil(H(k)) = S*k - floor(floor(H(r))/d), and
-#: floor(S*E(k/N)) = floor((floor(H(k)) - S*k)/N) exactly.
+#: floor(S*E(k/N)) = floor((floor(H(k)) - S*k)/N) exactly.  The grid sum
+#: walks the tree of each k under its shift r once (see _DEEP_QUOTIENT).
 INTEGRAL_SCALE = 10**40
 
 INTEGRAL_TARGET = Fraction(-1, 8)
@@ -52,37 +53,43 @@ INTEGRAL_TARGET = Fraction(-1, 8)
 #: Largest grid integrate_esum accepts; its table grows as grid/64.
 INTEGRAL_MAX_GRID = 2**26
 
-#: Points k above grid // (_DEEP_QUOTIENT + 1) have first digit grid // k at
-#: most this; they are reached from their shift r = grid mod k, not stored.
+#: Points k <= grid // (_DEEP_QUOTIENT + 1) are a table of roots; every other
+#: k has first digit d = grid // k at most this and is the child (grid - r)/d
+#: of its shift r, found by digit range below the roots.  Points k > (grid -
+#: 2) // 3 have no child with d >= 2 and are added at their parent; only the
+#: others, about grid/3, are pushed and scan their digits for divisors.
 _DEEP_QUOTIENT = 63
 
 
 def _grid_total(n: int) -> int:
     """Sum of floor(INTEGRAL_SCALE * E(k/n)) over k = 0 .. n-1."""
-    scale, stored = INTEGRAL_SCALE, n // (_DEEP_QUOTIENT + 1)
+    scale, stored, leaf = INTEGRAL_SCALE, n // (_DEEP_QUOTIENT + 1), (n - 2) // 3
     # floor(H(k)) and ceil(H(k)) - floor(H(k)) for k <= stored; H(0) = 0
     lo, inexact = [0] * (stored + 1), bytearray(stored + 1)
     total = 0
     for k in range(1, stored + 1):
         d, r = divmod(n, k)
-        c = -((-lo[r] - inexact[r]) // d)
-        lo[k], inexact[k] = scale * k - c, c - lo[r] // d
-        total += -c // n
-    # each k > stored is (n - r)/d, r = n mod k < k, d <= _DEEP_QUOTIENT: walk
-    # depth first from each stored point, trying only d that keep k > r, stored
-    stack = []
-    for root in range(stored + 1):
-        stack.append((root, lo[root], lo[root] + inexact[root]))
-        while stack:
-            r, lo_r, hi_r = stack.pop()
-            rest, bound = n - r, max(r, stored)
-            if r and rest > bound:
-                total += -hi_r // n  # d = 1: k = n - r > n/2 has no children
-            for d in range(2, rest // (bound + 1) + 1):
-                if rest % d == 0:
-                    k, c = rest // d, -(-hi_r // d)
-                    total += -c // n
-                    stack.append((k, scale * k - c, scale * k - lo_r // d))
+        c, f = -((-lo[r] - inexact[r]) // d), lo[r] // d
+        lo[k], inexact[k] = scale * k - c, c - f
+        total += -c // n + (f - scale * k) // n  # and its d = 1 child n - k > n/2, a leaf
+    # the roots' children by digit range; only a child k <= leaf is walked on.
+    # An entry is (n - r, floor(H(r)), ceil(H(r)), digits d to try below r)
+    for d in range(2, n // (stored + 1) + 1):
+        for r in range(n % d, min(stored, n - d * (stored + 1)) + 1, d):
+            stack = [(n - r, lo[r], lo[r] + inexact[r], (d,))]
+            while stack:
+                rest, lo_r, hi_r, digits = stack.pop()
+                for e in digits:
+                    if rest % e == 0:
+                        k, c = rest // e, -(-hi_r // e)
+                        total += -c // n
+                        if 2 * k < n:  # its d = 1 child n - k > n/2 is a leaf
+                            sk = scale * k
+                            hi_k = sk - lo_r // e
+                            total += -hi_k // n
+                            if k <= leaf:  # digits e <= (n - k)/(k + 1) keep the child above k
+                                m = n - k
+                                stack.append((m, sk - c, hi_k, range(2, m // (k + 1) + 1)))
     return total
 
 
@@ -102,6 +109,8 @@ def integrate_esum(grid: int) -> IntegralReport:
     by the shift recursion (see INTEGRAL_SCALE), in one pass over the grid;
     the floors sum to an integer, so quantization bounds the only error.
     """
+    if type(grid) is not int:
+        raise DomainError(f"grid must be an int, got {grid!r}")
     if grid < 1:
         raise DomainError("grid must be >= 1")
     if grid > INTEGRAL_MAX_GRID:
@@ -145,6 +154,8 @@ def variation_over_partition(n: int, digit_cap: "int | None" = None) -> Variatio
     and the telescoped tails.  They recombine to n exactly, which is
     asserted as a two-route consistency check.
     """
+    if type(n) is not int or not (digit_cap is None or type(digit_cap) is int):
+        raise DomainError(f"order and digit cap must be ints, got {n!r}, {digit_cap!r}")
     if n < 1:
         raise DomainError("partition order must be >= 1")
     if digit_cap is None:
@@ -619,6 +630,8 @@ def count_bounded_products(
     product at most p (bound p(2+log p)^(m-1)); ``increasing=True`` counts
     strictly increasing sequences of length exactly m (same bound over m!).
     """
+    if type(p) is not int or type(m) is not int:
+        raise DomainError(f"p and m must be ints, got {p!r}, {m!r}")
     if p < 1 or m < 1:
         raise DomainError("need p >= 1 and m >= 1")
     if p * m > budget:

@@ -76,12 +76,34 @@ class TestIntegral:
         assert abs(rep.estimate - exact) <= rep.quantization
 
     @pytest.mark.parametrize(
-        "grids", [range(1, 601), [4096, 5040, 65536, 65537]], ids=["small", "large"]
+        "grids",
+        [
+            range(1, 601),
+            [4096, 5040, 65536, 65537],
+            [63999, 64000, 64001, 65535],
+            range(9999, 10005),
+        ],
+        ids=["small", "large", "table_edge", "leaf_cutoff"],
     )
     def test_grid_total_matches_per_point_oracle(self, grids):
-        # every small grid, powers of two, highly composite grids and primes
+        # every small grid, powers of two, highly composite grids and primes;
+        # grids 64m - 1, 64m, 64m + 1 around the table's last root m (65536
+        # and 65537 complete m = 1024), and each residue mod 3 of the leaf
+        # cutoff (grid - 2) // 3
         for grid in grids:
             assert _grid_total(grid) == _grid_total_per_point(grid), grid
+
+    @given(st.integers(min_value=1, max_value=2 * 10**4))
+    @settings(max_examples=30, deadline=None)
+    def test_grid_total_matches_per_point_oracle_on_drawn_grids(self, grid):
+        assert _grid_total(grid) == _grid_total_per_point(grid)
+
+    def test_grid_total_pinned_on_large_grids(self):
+        # too large for the per-point oracle: the prime 2^17 - 1, 3 * 2^16 and
+        # the prime 262139 near 2^18, pinned from the per-root walk
+        assert _grid_total(131071) == -163838749990463184075806242418231340266028167
+        assert _grid_total(196608) == -245757500000000000000000000000000000000097302
+        assert _grid_total(262139) == -327673749995231537466763816143343798519237191
 
     def test_workers_argument_is_ignored(self):
         rep = integrate_esum(97)
@@ -122,6 +144,15 @@ class TestIntegral:
         with pytest.raises(DomainError):
             integrate_esum(0)
 
+    def test_non_integer_grid_rejected_before_any_work(self, monkeypatch):
+        def refuse(grid):
+            raise AssertionError("grid sum started on a non-int grid")
+
+        monkeypatch.setattr(analysis, "_grid_total", refuse)
+        for grid in (True, 97.0, F(97)):
+            with pytest.raises(DomainError):
+                integrate_esum(grid)
+
 
 class TestVariation:
     def test_analytic_total_is_the_order(self):
@@ -144,6 +175,11 @@ class TestVariation:
         for cap in (0, -3):
             with pytest.raises(DomainError):
                 variation_over_partition(2, cap)
+
+    def test_non_integer_arguments_rejected(self):
+        for n, cap in [(True, 3), (2.0, 3), (F(2), 3), (2, True), (2, 3.0), (2, F(3))]:
+            with pytest.raises(DomainError):
+                variation_over_partition(n, cap)
 
     def test_variation_exceeds_any_candidate_bound(self):
         # unbounded variation: the order-n sum is n, so any bound V fails at
@@ -592,6 +628,12 @@ class TestCountBoundedProducts:
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
             count_bounded_products(10**6, 1000, budget=10**6)
+
+    def test_non_integer_arguments_rejected(self):
+        for p, m in [(10.5, 2), (True, 2), (F(10), 2), (10, 2.0), (10, True), (10, F(2))]:
+            for increasing in (False, True):
+                with pytest.raises(DomainError):
+                    count_bounded_products(p, m, increasing=increasing)
 
 
 class TestFactorialBounds:
