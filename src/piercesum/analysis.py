@@ -42,10 +42,9 @@ IVT_MAX_NODES = 10**6  # nodes one ivt_root call may visit; typical calls visit 
 #: multiple of 10^-40 first; the grid average then carries a quantization
 #: error below 10^-40, dozens of orders under any tolerance here.  The floors
 #: come from the shift recursion on the grid: with d = N // k, r = N mod k
-#: and H(k) = S*k + S*N*E(k/N), H(k) = S*k - H(r)/d; so floor(H(k)) =
-#: S*k - ceil(ceil(H(r))/d), ceil(H(k)) = S*k - floor(floor(H(r))/d), and
-#: floor(S*E(k/N)) = floor((floor(H(k)) - S*k)/N) exactly.  The grid sum
-#: walks the tree of each k under its shift r once (see _DEEP_QUOTIENT).
+#: and H(k) = S*k + S*N*E(k/N), H(k) = S*k - H(r)/d.  A table holds
+#: floor(H(r)) for small r, and each pair of points k, N - k is read off it
+#: through the Pierce cylinder of k/N (see _grid_total).
 INTEGRAL_SCALE = 10**40
 
 INTEGRAL_TARGET = Fraction(-1, 8)
@@ -53,44 +52,66 @@ INTEGRAL_TARGET = Fraction(-1, 8)
 #: Largest grid integrate_esum accepts; its table grows as grid/64.
 INTEGRAL_MAX_GRID = 2**26
 
-#: Points k <= grid // (_DEEP_QUOTIENT + 1) are a table of roots; every other
-#: k has first digit d = grid // k at most this and is the child (grid - r)/d
-#: of its shift r, found by digit range below the roots.  Points k > (grid -
-#: 2) // 3 have no child with d >= 2 and are added at their parent; only the
-#: others, about grid/3, are pushed and scan their digits for divisors.
+#: Shifts r <= grid // (_DEEP_QUOTIENT + 1) are the table; any larger shift
+#: has next digit grid // r at most this.
 _DEEP_QUOTIENT = 63
+
+#: Depth down to which the grid sum splits Pierce cylinders by their next
+#: digit; below it each point steps its own shift chain to the table.  At
+#: grid 2^21, depth 3 was faster than depths 1, 2, 4 and 5.
+_CYLINDER_DEPTH = 3
 
 
 def _grid_total(n: int) -> int:
-    """Sum of floor(INTEGRAL_SCALE * E(k/n)) over k = 0 .. n-1."""
-    scale, stored, leaf = INTEGRAL_SCALE, n // (_DEEP_QUOTIENT + 1), (n - 2) // 3
-    # floor(H(k)) and ceil(H(k)) - floor(H(k)) for k <= stored; H(0) = 0
+    """Sum of floor(INTEGRAL_SCALE * E(k/n)) over k = 0 .. n-1.
+
+    E(0) = E(1/2) = 0, and E(x) + E(1 - x) = -x for x < 1/2, so only pairs
+    k, n - k with 2k < n add anything.  The k whose first t digits are
+    d_1..d_t form a cylinder, a k-interval on which the shift r = p*k + b
+    and the numerator w = u*k + v are linear, with p = (-1)^t d_1...d_t and
+    p*z = S*w + H(r), z = S*n*E(k/n).  With P = |p|, m = w*sign(p) and x =
+    floor(sign(p)*H(r)) from the table, the pair adds
+    -(S // n)*k - ceil((e + (S*m + x) mod P*n + (S mod n)*k*P) / (P*n)),
+    e the table's inexact flag: one big-integer remainder per pair, and
+    the first terms sum in closed form.  Cylinders split by their next
+    digit down to depth _CYLINDER_DEPTH; below it a point whose shift is
+    not yet in the table steps r -> n mod r itself.
+    """
+    scale, stored = INTEGRAL_SCALE, n // (_DEEP_QUOTIENT + 1)
+    # floor(H(r)) and ceil(H(r)) - floor(H(r)) for r <= stored; H(0) = 0
     lo, inexact = [0] * (stored + 1), bytearray(stored + 1)
-    total = 0
     for k in range(1, stored + 1):
         d, r = divmod(n, k)
         c, f = -((-lo[r] - inexact[r]) // d), lo[r] // d
         lo[k], inexact[k] = scale * k - c, c - f
-        total += -c // n + (f - scale * k) // n  # and its d = 1 child n - k > n/2, a leaf
-    # the roots' children by digit range; only a child k <= leaf is walked on.
-    # An entry is (n - r, floor(H(r)), ceil(H(r)), digits d to try below r)
-    for d in range(2, n // (stored + 1) + 1):
-        for r in range(n % d, min(stored, n - d * (stored + 1)) + 1, d):
-            stack = [(n - r, lo[r], lo[r] + inexact[r], (d,))]
-            while stack:
-                rest, lo_r, hi_r, digits = stack.pop()
-                for e in digits:
-                    if rest % e == 0:
-                        k, c = rest // e, -(-hi_r // e)
-                        total += -c // n
-                        if 2 * k < n:  # its d = 1 child n - k > n/2 is a leaf
-                            sk = scale * k
-                            hi_k = sk - lo_r // e
-                            total += -hi_k // n
-                            if k <= leaf:  # digits e <= (n - k)/(k + 1) keep the child above k
-                                m = n - k
-                                stack.append((m, sk - c, hi_k, range(2, m // (k + 1) + 1)))
-    return total
+    half, g = (n - 1) // 2, scale % n
+    # cylinders (k0, k1, p, b, u, v, t), walked depth first; digit d maps r to n - d*r
+    cylinders, ceils = [(1, half, 1, 0, -1, 0, 0)], 0  # ceils stays a small int
+    while cylinders:
+        k0, k1, p, b, u, v, t = cylinders.pop()
+        if t < _CYLINDER_DEPTH:
+            # the next digit n // r is monotone in r, so each digit takes one k-interval;
+            # the last span, digit 0 here, is the points finished from the table below
+            r0, r1 = sorted((p * k0 + b, p * k1 + b))
+            digits = range(n // r1, n // max(r0, stored + 1) + 1) if r1 > stored else ()
+            spans = [(n // (d + 1) + 1, n // d, d) for d in digits] + [(0, stored, 0)]
+            for lo_r, hi_r, d in spans:  # the k with lo_r <= p*k + b <= hi_r
+                ka, kb = (lo_r, hi_r) if p > 0 else (hi_r, lo_r)
+                ka, kb = max(k0, -((b - ka) // p)), min(k1, (kb - b) // p)
+                if d and ka <= kb:
+                    cylinders.append((ka, kb, -d * p, n - d * b, -d * (u + p), -d * (v + b), t + 1))
+            k0, k1 = ka, kb
+        for k in range(k0, k1 + 1):
+            r, w, q = p * k + b, u * k + v, p
+            while r > stored:  # only at depth _CYLINDER_DEPTH
+                d = n // r
+                r, w, q = n - d * r, -d * (w + r), -d * q
+            e, x = inexact[r], lo[r]
+            if q < 0:
+                q, w, x = -q, -w, -x - e
+            pn = q * n
+            ceils += (e + (scale * w + x) % pn + g * q * k + pn - 1) // pn
+    return -(scale // n) * (half * (half + 1) // 2) - ceils
 
 
 @dataclass(frozen=True)
@@ -105,9 +126,11 @@ class IntegralReport:
 def integrate_esum(grid: int) -> IntegralReport:
     """Left-endpoint Riemann sum of the error-sum function over k/grid.
 
-    Every point value is floored exactly to a multiple of 1/INTEGRAL_SCALE
-    by the shift recursion (see INTEGRAL_SCALE), in one pass over the grid;
-    the floors sum to an integer, so quantization bounds the only error.
+    Every point value is floored exactly to a multiple of 1/INTEGRAL_SCALE,
+    and the floors sum to an integer, so quantization bounds the only error.
+    The points k/grid and 1 - k/grid are summed as one pair, read off a
+    table of small shifts through the Pierce cylinder of k/grid with one
+    big-integer remainder (see _grid_total).
     """
     if type(grid) is not int:
         raise DomainError(f"grid must be an int, got {grid!r}")

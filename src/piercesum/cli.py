@@ -19,7 +19,7 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import chain, combinations, islice
-from math import gcd
+from math import gcd, isfinite
 
 from . import analysis, core, errorsum
 from .core import DepthOverflowError, DomainError, as_rational, constant_stream, expand
@@ -148,6 +148,8 @@ def _decimal_str(value: Fraction, digits: int = 20) -> str:
 
 def _cmd_integral(args):
     tol = None if args.tolerance is None else as_rational(args.tolerance)
+    if tol is not None and tol < 0:
+        raise DomainError(f"tolerance must be >= 0, got {tol}")
     rep = analysis.integrate_esum(args.grid)
     payload = {
         "grid": rep.grid,
@@ -183,6 +185,8 @@ def _cmd_dimension(args):
         lo, hi = (float(x) for x in args.band.split(":"))
     except ValueError:
         raise DomainError(f"cannot parse band {args.band!r}, expected lo:hi") from None
+    if not (isfinite(lo) and isfinite(hi) and lo <= hi):
+        raise DomainError(f"band {args.band!r} needs finite ends with lo <= hi")
     scales = [Fraction(1, 2**p) for p in range(args.pow_min, args.pow_max + 1)]
     counts = analysis.box_count_sweep(scales)
     fit = analysis.dimension_slope(counts)

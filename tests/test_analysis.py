@@ -82,14 +82,16 @@ class TestIntegral:
             [4096, 5040, 65536, 65537],
             [63999, 64000, 64001, 65535],
             range(9999, 10005),
+            [27720, 55440],
         ],
-        ids=["small", "large", "table_edge", "leaf_cutoff"],
+        ids=["small", "large", "table_edge", "leaf_cutoff", "digit_boundaries"],
     )
     def test_grid_total_matches_per_point_oracle(self, grids):
         # every small grid, powers of two, highly composite grids and primes;
         # grids 64m - 1, 64m, 64m + 1 around the table's last root m (65536
-        # and 65537 complete m = 1024), and each residue mod 3 of the leaf
-        # cutoff (grid - 2) // 3
+        # and 65537 complete m = 1024); 9999..10004, each residue mod 3 twice;
+        # and highly composite grids with many k on a cylinder edge k =
+        # grid // d, where a shift r = grid mod k is 0
         for grid in grids:
             assert _grid_total(grid) == _grid_total_per_point(grid), grid
 
@@ -104,6 +106,11 @@ class TestIntegral:
         assert _grid_total(131071) == -163838749990463184075806242418231340266028167
         assert _grid_total(196608) == -245757500000000000000000000000000000000097302
         assert _grid_total(262139) == -327673749995231537466763816143343798519237191
+
+    def test_grid_total_pinned_on_the_benchmark_grid(self):
+        # estimate * grid * INTEGRAL_SCALE of the benchmark's default-seed grid
+        # 1052063, from perfbench's PINNED_INTEGRALS
+        assert _grid_total(1052063) == -1315078749998811858225220352773550633375142679
 
     def test_workers_argument_is_ignored(self):
         rep = integrate_esum(97)

@@ -132,6 +132,14 @@ class TestIntegral:
         code, out, err = run(capsys, "integral", "--grid", "1048576", "--tolerance", "0.1")
         assert code == 1 and out == "" and "cannot parse rational literal" in err
 
+    def test_negative_tolerance_fails_before_the_grid_sum(self, capsys, monkeypatch):
+        def refuse(grid):
+            raise AssertionError("grid sum started under a tolerance that cannot hold")
+
+        monkeypatch.setattr(analysis, "_grid_total", refuse)
+        code, out, err = run(capsys, "integral", "--grid", "10", "--tolerance=-1/200")
+        assert code == 1 and out == "" and "domain error:" in err and "tolerance" in err
+
 
 class TestVariation:
     def test_analytic(self, capsys):
@@ -170,6 +178,15 @@ class TestDimension:
         monkeypatch.setattr(analysis, "box_count_sweep", refuse)
         code, out, err = run(capsys, "dimension", "--band", "bad")
         assert code == 1 and out == "" and "cannot parse band" in err
+
+    def test_empty_or_non_finite_band_fails_before_the_sweep(self, capsys, monkeypatch):
+        def refuse(scales):
+            raise AssertionError("sweep started under a band no slope can meet")
+
+        monkeypatch.setattr(analysis, "box_count_sweep", refuse)
+        for band in ("1.3:0.8", "nan:nan", "0.8:nan", "-inf:1.3", "0.8:inf"):
+            code, out, err = run(capsys, "dimension", f"--band={band}")
+            assert code == 1 and out == "" and "domain error:" in err and "band" in err, band
 
     def test_pow_min_below_one_rejected(self, capsys):
         for pow_min in ("0", "-1"):

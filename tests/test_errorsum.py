@@ -129,6 +129,19 @@ class TestEsum:
         assert esum(x) == direct
         assert F(-1, 2) < esum(x) <= 0
 
+    @given(unit_rationals.filter(lambda x: x != F(1, 2)))
+    @settings(max_examples=300)
+    def test_sum_with_the_reflection_is_minus_the_smaller(self, x):
+        # for x < 1/2 the first digit of 1 - x is 1 and its shift is x,
+        # so E(1 - x) = -x - E(x): the pairing the grid sum rests on
+        assert esum(x) + esum(1 - x) == -min(x, 1 - x)
+
+    def test_one_half_is_its_own_reflection(self):
+        # 1/2 and 1 - 1/2 share the digits (2,), so the pair sum is 0, not
+        # -1/2; an even grid's point k = grid/2 therefore stands alone
+        assert expand(F(1, 2)) == (2,)
+        assert esum(F(1, 2)) + esum(1 - F(1, 2)) == 0
+
     def test_non_commutation_witness(self):
         # estar and esum-after-phi disagree on non-realizable input
         sigma = (2, 3)
