@@ -14,7 +14,6 @@ from .analysis import (
     CoverSum,
     DegenerateFitError,
     IntegralReport,
-    ResourceLimitError,
     RootBracket,
     SlopeFit,
     VariationReport,
@@ -37,6 +36,7 @@ from .core import (
     DigitStream,
     DomainError,
     Rat,
+    ResourceLimitError,
     as_rational,
     constant_stream,
     convergent,

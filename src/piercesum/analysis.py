@@ -8,27 +8,24 @@ dimension estimation of the function's graph.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import exp_enclosure, iroot, log_enclosure, pow_enclosure
-from .core import MAX_DEPTH, DepthOverflowError, DomainError, Rat, as_rational, child_numerators
+from .certify import exp_enclosure, iroot, log_enclosure, pow_enclosure, refine
+from .core import MAX_DEPTH, DepthOverflowError, DomainError, Rat, ResourceLimitError
+from .core import as_rational, child_numerators
 from .errorsum import _cylinder_extrema, esum
 from .intervals import FundInterval, _fundamental_interval, capped_masses
 from .sequences import Enclosure, PierceSeq, walk_prefixes
-
-
-class ResourceLimitError(RuntimeError):
-    """An enumeration or refinement exceeded its configured budget."""
 
 
 class DegenerateFitError(ValueError):
     """A regression input carries no usable signal."""
 
 
-SERIES_TERMS = 48  # first term count of the e^x and log enclosures; retries double it
 COVER_SCALE = 10**18  # fixed-point scale of the cover-sum root brackets
 IVT_MAX_NODES = 10**6  # nodes one ivt_root call may visit; typical calls visit a handful
 
@@ -416,7 +413,7 @@ class CoverReport:
     n: int  # the order with (n-1)! <= e^M <= n!
     a: tuple[Enclosure, ...]
     total_bound: int
-    chain_holds: bool
+    chain_holds: bool  # a_1 < ... < a_(n+1) certified; False: a pair certified out of order
 
 
 def lambda_cover_counts(M) -> CoverReport:
@@ -424,46 +421,39 @@ def lambda_cover_counts(M) -> CoverReport:
 
     Requires M > n(M) (true once M >= 8.6 or so); smaller M breaks the
     monotonicity argument and is rejected.  All comparisons against e^M,
-    log k and factorials are certified, with automatic tightening.
+    log k and factorials are certified, tightened through certify.refine.
     """
     M = as_rational(M)
     if M <= 0:
         raise DomainError("M must be positive")
 
-    for attempt in range(6):
-        eM = exp_enclosure(M, SERIES_TERMS << attempt)
-        n, fact = 1, 1  # smallest n with n! >= e^M
-        while fact < eM.hi:
-            n += 1
-            fact *= n
-        if math.factorial(n - 1) <= eM.lo:
-            break
-    else:
-        raise ResourceLimitError(f"cannot separate e^{M} from neighboring factorials")
+    def order(terms):  # e^M and the smallest n with n! >= e^M
+        eM = exp_enclosure(M, terms)
+        return eM, next(n for n in itertools.count(1) if math.factorial(n) >= eM.hi)
+
+    n = refine(order, lambda r: math.factorial(r[1] - 1) <= r[0].lo, f"e^{M} against n!")[1]
     if M <= n:
         raise DomainError(
             f"M = {M} is too small: the covering argument needs M > n(M) = {n}"
         )
 
-    for attempt in range(6):
-        t = SERIES_TERMS << attempt
-        eM = exp_enclosure(M, t)
-        a = [Enclosure.exact(1)]
+    def groups(terms):
+        eM, a = exp_enclosure(M, terms), [Enclosure.exact(1)]
         for k in range(2, n + 2):
-            base = Enclosure.exact(2 + M) + log_enclosure(k - 1, t)
-            a_k = Fraction(k - 1, math.factorial(k - 1)) * eM * base.power(k - 2)
-            a.append(a_k)
-        chain = all(a[i + 1].lo > a[i].hi for i in range(len(a) - 1))
-        if chain:
-            break
-    total_hi = sum(enc.hi for enc in a)
+            base = Enclosure.exact(2 + M) + log_enclosure(k - 1, terms)
+            a.append(Fraction(k - 1, math.factorial(k - 1)) * eM * base.power(k - 2))
+        return eM, a
+
+    eM, a = refine(  # decided once each adjacent pair a_k, a_(k+1) is separated, either way
+        groups, lambda r: not any(map(Enclosure.overlaps, r[1], r[1][1:])), f"a_k at M={M}"
+    )
     return CoverReport(
         M=M,
         epsilon=2 * eM.reciprocal().lo,
         n=n,
         a=tuple(a),
-        total_bound=math.ceil(total_hi),
-        chain_holds=chain,
+        total_bound=math.ceil(sum(enc.hi for enc in a)),
+        chain_holds=all(x.hi < y.lo for x, y in zip(a, a[1:])),
     )
 
 
@@ -485,10 +475,7 @@ def calibrate_product_bound(epsilon) -> tuple[int, int]:
     inv = math.ceil(1 / epsilon)
     P = inv
     while True:
-        m, fact = 1, 1
-        while fact * (m + 1) <= P:
-            m += 1
-            fact *= m
+        m = next(m for m in itertools.count(1) if math.factorial(m + 1) > P)  # m! <= P < (m+1)!
         if m * inv <= P:
             return P, m
         P = m * inv
@@ -640,7 +627,7 @@ class CountReport:
     bound: Enclosure  # certified enclosure of the analytic bound
 
     def within_bound(self) -> bool:
-        """Strictly safe comparison: count below the bound's lower end."""
+        """Certified count <= bound: ``bound`` was refined until count is outside (lo, hi]."""
         return self.count <= self.bound.lo
 
 
@@ -692,10 +679,13 @@ def count_bounded_products(
             f = {c: sum(run * (1 + f[q]) for q, run in runs(c)) for c in states}
         count = f[p]
 
-    bound = p * (Enclosure.exact(2) + log_enclosure(p, SERIES_TERMS)).power(m - 1)
-    if increasing:
-        bound = bound * Fraction(1, math.factorial(m))
-    return CountReport(p, m, increasing, count, bound.round_outward())
+    factor = Fraction(p, math.factorial(m) if increasing else 1)
+    bound = refine(
+        lambda t: (factor * (2 + log_enclosure(p, t)).power(m - 1)).round_outward(),
+        lambda b: not b.lo < count <= b.hi,  # count certified at or below, or above, the bound
+        f"count {count} against its bound",
+    )
+    return CountReport(p, m, increasing, count, bound)
 
 
 def factorial_bounds_check(n: int) -> bool:
@@ -704,14 +694,11 @@ def factorial_bounds_check(n: int) -> bool:
         raise DomainError("n must be >= 1")
     fact = math.factorial(n)
     lower, upper = n**n, n ** (n + 1)
-    for attempt in range(6):
-        e_pow = exp_enclosure(1, SERIES_TERMS << attempt).power(n - 1)
-        lower_ok = lower <= fact * e_pow.lo
-        lower_bad = lower > fact * e_pow.hi
-        upper_ok = fact * e_pow.hi <= upper
-        upper_bad = fact * e_pow.lo > upper
-        if lower_bad or upper_bad:
+
+    def verdict(terms):  # both sides certified true, or one certified false; else None
+        x = fact * exp_enclosure(1, terms).power(n - 1)
+        if lower > x.hi or x.lo > upper:
             return False
-        if lower_ok and upper_ok:
-            return True
-    raise ResourceLimitError(f"factorial bound comparison undecided at n={n}")
+        return True if lower <= x.lo and x.hi <= upper else None
+
+    return refine(verdict, lambda v: v is not None, f"the factorial bounds at n={n}")

@@ -3,17 +3,29 @@
 Inequalities against e^M, log p, or fractional powers must be decidable in
 exact arithmetic, so these helpers enclose each value between two rationals
 using truncated series with explicit remainder bounds.  Machine floats
-never enter; tightness is controlled by a term count that callers can
-raise until a comparison decides.
+never enter.  Each decision tightens by one rule, ``refine``: SERIES_TERMS
+terms, doubled at most five times, then ResourceLimitError, never a guess.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
-from .core import DomainError, Rat, as_rational
+from .core import DomainError, Rat, ResourceLimitError, as_rational
 from .sequences import Enclosure
+
+SERIES_TERMS = 48  # first term count of the e^x and log enclosures; refine doubles it
+
+
+def refine(enclose, decided, what: str):
+    """First enclose(terms) that decided accepts, for terms = SERIES_TERMS * 2^i, i < 6."""
+    for attempt in range(6):
+        value = enclose(SERIES_TERMS << attempt)
+        if decided(value):
+            return value
+    raise ResourceLimitError(f"{what} undecided at {SERIES_TERMS << 5} series terms")
 
 
 def iroot(n: int, k: int) -> int:
@@ -61,7 +73,7 @@ def pow_enclosure(x, exponent, scale: int = 10**30) -> Enclosure:
     return root_enclosure(x**s.numerator, s.denominator, scale)
 
 
-def exp_enclosure(x, terms: int = 40) -> Enclosure:
+def exp_enclosure(x, terms: int = SERIES_TERMS) -> Enclosure:
     """Enclosure of e^x for rational x.
 
     The argument is halved into [0, 1], the series is summed exactly, and
@@ -103,16 +115,12 @@ def _atanh_series(z: Rat, terms: int) -> Enclosure:
     return Enclosure(2 * total, 2 * (total + tail))
 
 
-_LOG2_CACHE: dict[int, Enclosure] = {}
-
-
+@cache
 def _log2_enclosure(terms: int) -> Enclosure:
-    if terms not in _LOG2_CACHE:
-        _LOG2_CACHE[terms] = _atanh_series(Fraction(1, 3), terms)
-    return _LOG2_CACHE[terms]
+    return _atanh_series(Fraction(1, 3), terms)
 
 
-def log_enclosure(x, terms: int = 40) -> Enclosure:
+def log_enclosure(x, terms: int = SERIES_TERMS) -> Enclosure:
     """Enclosure of log x for rational x > 0.
 
     x is scaled by a power of two into [1, 2), where the atanh series

@@ -32,6 +32,10 @@ class DomainError(ValueError):
     """Input outside an operation's domain (e.g. x not in [0, 1])."""
 
 
+class ResourceLimitError(RuntimeError):
+    """An enumeration or refinement exceeded its configured budget."""
+
+
 class DepthOverflowError(RuntimeError):
     """An expansion or truncation depth exceeded its configured cap."""
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -37,7 +38,7 @@ from piercesum import (
     lambda_cover_counts,
     variation_over_partition,
 )
-from piercesum import analysis
+from piercesum import analysis, certify
 from piercesum.analysis import INTEGRAL_MAX_GRID, INTEGRAL_SCALE, _grid_total
 from piercesum.certify import exp_enclosure, iroot, root_enclosure
 
@@ -83,15 +84,18 @@ class TestIntegral:
             [63999, 64000, 64001, 65535],
             range(9999, 10005),
             [27720, 55440],
+            [674, 20144],
         ],
-        ids=["small", "large", "table_edge", "leaf_cutoff", "digit_boundaries"],
+        ids=["small", "large", "table_edge", "leaf_cutoff", "digit_boundaries", "inexact_flag"],
     )
     def test_grid_total_matches_per_point_oracle(self, grids):
         # every small grid, powers of two, highly composite grids and primes;
         # grids 64m - 1, 64m, 64m + 1 around the table's last root m (65536
         # and 65537 complete m = 1024); 9999..10004, each residue mod 3 twice;
-        # and highly composite grids with many k on a cylinder edge k =
-        # grid // d, where a shift r = grid mod k is 0
+        # highly composite grids with many k on a cylinder edge k =
+        # grid // d, where a shift r = grid mod k is 0; and grids whose total
+        # moves if the table's inexact flag e is dropped from the pair sum or
+        # from its negative-sign branch
         for grid in grids:
             assert _grid_total(grid) == _grid_total_per_point(grid), grid
 
@@ -471,6 +475,39 @@ class TestLambdaCoverCounts:
         rep = lambda_cover_counts(9)
         assert rep.total_bound >= sum(enc.lo for enc in rep.a)
 
+    @pytest.mark.parametrize(
+        "M,n,total_bound,epsilon_bits,digest",
+        [
+            (9, 8, 193184495, 6002, "2439d149631aaba96481e908271ddda166825ddadd70918c0fcc3a926acc16c1"),
+            (10, 8, 838437226, 5250, "d78249ab2c30857ed561d41858cfb5301319372aab94caa6b04596e6cf899828"),
+            (11, 9, 7761709389, 6342, "34742c17cc2824d668b87f71bff7481a8c96984ce30cb99606455e91063edb37"),
+        ],
+    )
+    def test_reports_pinned(self, M, n, total_bound, epsilon_bits, digest):
+        # the whole repr (M, epsilon and every a_k endpoint) at 48 series terms
+        rep = lambda_cover_counts(M)
+        assert (rep.n, rep.total_bound, rep.chain_holds) == (n, total_bound, True)
+        assert rep.epsilon.denominator.bit_length() == epsilon_bits
+        assert hashlib.sha256(repr(rep).encode()).hexdigest() == digest
+
+    def test_chain_certified_out_of_order_is_false(self, monkeypatch):
+        # log k pinned to -(M + 3/2) makes each base 1/2, so a_2 > a_3 > ... certifiably
+        monkeypatch.setattr(analysis, "log_enclosure", lambda x, terms: Enclosure.exact(F(-21, 2)))
+        assert lambda_cover_counts(9).chain_holds is False
+
+    def test_undecided_chain_raises(self, monkeypatch):
+        # log k widened by 10^6 at every attempt: a_3 and a_4 overlap at all
+        # six; a first attempt of 2 terms keeps the six cheap
+        real_log = analysis.log_enclosure
+        monkeypatch.setattr(certify, "SERIES_TERMS", 2)
+
+        def widened(x, terms):
+            return Enclosure(F(0), real_log(x, terms).hi + 10**6)
+
+        monkeypatch.setattr(analysis, "log_enclosure", widened)
+        with pytest.raises(ResourceLimitError, match="a_k at M=9"):
+            lambda_cover_counts(9)
+
     def test_small_m_rejected(self):
         with pytest.raises(DomainError):
             lambda_cover_counts(5)  # n(5) = 6 > 5 breaks the construction
@@ -636,11 +673,41 @@ class TestCountBoundedProducts:
         with pytest.raises(ResourceLimitError):
             count_bounded_products(10**6, 1000, budget=10**6)
 
+    def test_within_bound_tightens_a_straddling_bound(self, monkeypatch):
+        # the first attempt's log 10^4 is widened down to 0, so its bound
+        # [10^4 * 2^5, ...] straddles the count; the second attempt decides
+        first = certify.SERIES_TERMS
+        real_log = analysis.log_enclosure
+
+        def widened(x, terms):
+            enc = real_log(x, terms)
+            return Enclosure(F(0), enc.hi) if terms == first else enc
+
+        def bound_at(terms):
+            return (F(10**4) * (2 + widened(10**4, terms)).power(5)).round_outward()
+
+        monkeypatch.setattr(analysis, "log_enclosure", widened)
+        rep = count_bounded_products(10**4, 6)
+        assert bound_at(first).lo < rep.count <= bound_at(first).hi
+        assert rep.within_bound()
+        assert rep.bound == bound_at(2 * first)
+
     def test_non_integer_arguments_rejected(self):
         for p, m in [(10.5, 2), (True, 2), (F(10), 2), (10, 2.0), (10, True), (10, F(2))]:
             for increasing in (False, True):
                 with pytest.raises(DomainError):
                     count_bounded_products(p, m, increasing=increasing)
+
+
+def test_decisions_tighten_from_a_low_first_term_count(monkeypatch):
+    # with the first attempt cut to 2 series terms, the counts and the lambda
+    # chain decide on far wider enclosures and the factorial bounds from
+    # n = 18 on need a second attempt; every answer is the one 48 terms give
+    monkeypatch.setattr(certify, "SERIES_TERMS", 2)
+    assert count_bounded_products(10**4, 6).within_bound() is True
+    rep = lambda_cover_counts(9)
+    assert (rep.n, rep.chain_holds) == (8, True)
+    assert all(factorial_bounds_check(n) is True for n in range(1, 51))
 
 
 class TestFactorialBounds:
@@ -655,7 +722,7 @@ class TestFactorialBounds:
         assert F(5**5) / e4.lo <= 120 <= F(5**6) / e4.hi
 
     def test_matches_the_per_n_series_oracle(self):
-        terms = analysis.SERIES_TERMS
+        terms = certify.SERIES_TERMS
         for n in range(1, 81):
             slow = exp_enclosure(n - 1, terms)
             fast = exp_enclosure(1, terms).power(n - 1)
@@ -667,7 +734,7 @@ def factorial_bounds_oracle(n):
     """The factorial bound check with e^(n-1) from its own halved-and-squared series."""
     fact, lower, upper = math.factorial(n), n**n, n ** (n + 1)
     for attempt in range(6):
-        e_pow = exp_enclosure(n - 1, analysis.SERIES_TERMS << attempt)
+        e_pow = exp_enclosure(n - 1, certify.SERIES_TERMS << attempt)
         if lower > fact * e_pow.hi or fact * e_pow.lo > upper:
             return False
         if lower <= fact * e_pow.lo and fact * e_pow.hi <= upper:

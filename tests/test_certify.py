@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import piercesum
+from piercesum import analysis, certify, core
 from piercesum.certify import (
+    SERIES_TERMS,
     exp_enclosure,
     iroot,
     log_enclosure,
     pow_enclosure,
+    refine,
     root_enclosure,
 )
-from piercesum.core import DomainError
+from piercesum.core import DomainError, ResourceLimitError
 
 
 class TestIroot:
@@ -109,3 +113,36 @@ class TestRoots:
 
     def test_pow_zero_exponent(self):
         assert pow_enclosure(F(17, 3), 0).contains(F(1))
+
+
+class TestRefine:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_stops_at_the_first_deciding_attempt(self, k):
+        calls = []
+
+        def enclose(terms):
+            calls.append(terms)
+            return len(calls)
+
+        assert refine(enclose, lambda attempt: attempt == k, "fake") == k
+        assert calls == [SERIES_TERMS << i for i in range(k)]
+        assert calls[0] == 48
+
+    def test_undecided_raises_naming_what(self):
+        calls = []
+        with pytest.raises(ResourceLimitError, match="the fake comparison"):
+            refine(calls.append, lambda value: False, "the fake comparison")
+        assert len(calls) == 6
+
+    def test_reads_the_first_term_count_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(certify, "SERIES_TERMS", 5)
+        calls = []
+        refine(calls.append, lambda value: len(calls) == 3, "fake")
+        assert calls == [5, 10, 20]
+
+    def test_one_error_class(self):
+        assert analysis.ResourceLimitError is core.ResourceLimitError is piercesum.ResourceLimitError
+
+    def test_enclosure_defaults_use_the_first_term_count(self):
+        assert exp_enclosure(F(7, 3)) == exp_enclosure(F(7, 3), SERIES_TERMS)
+        assert log_enclosure(F(7, 3)) == log_enclosure(F(7, 3), SERIES_TERMS)
