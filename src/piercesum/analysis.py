@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -344,6 +345,8 @@ def hausdorff_cover_sum(n: int, s, digit_cap: int) -> CoverSum:
     at most (sqrt(n^2+1) * max omitted length)^(s-1) times their total
     length, which telescopes exactly.
     """
+    if type(n) is not int or type(digit_cap) is not int:
+        raise DomainError(f"order and digit cap must be ints, got {n!r}, {digit_cap!r}")
     s = as_rational(s)
     if n < 1:
         raise DomainError("order must be >= 1")
@@ -415,6 +418,28 @@ class CoverReport:
     total_bound: int
     chain_holds: bool  # a_1 < ... < a_(n+1) certified; False: a pair certified out of order
 
+    def __repr__(self) -> str:
+        # from M = 17 on, some terms of epsilon or the a_k pass str()'s digit limit;
+        # the fields keep them exactly, the repr shows them by bit length
+        a = ", ".join(f"Enclosure(lo={_brief(e.lo)}, hi={_brief(e.hi)})" for e in self.a)
+        return (
+            f"CoverReport(M={_brief(self.M)}, epsilon={_brief(self.epsilon)}, n={self.n!r}, "
+            f"a=({a}), total_bound={self.total_bound!r}, chain_holds={self.chain_holds!r})"
+        )
+
+
+def _brief(x: Fraction) -> str:
+    """repr(x), or its terms' bit lengths if one may be too long for str().
+
+    str() refuses an int of more than sys.get_int_max_str_digits() digits
+    (0: no limit); an int of at most 3 bits per allowed digit is within it.
+    """
+    limit = 3 * sys.get_int_max_str_digits()
+    num, den = x.numerator.bit_length(), x.denominator.bit_length()
+    if not limit or max(num, den) <= limit:
+        return repr(x)
+    return f"Fraction(<{num}-bit int>, <{den}-bit int>)"
+
 
 def lambda_cover_counts(M) -> CoverReport:
     """Per-group square counts a_k and their total for the covering proof.
@@ -481,19 +506,47 @@ def calibrate_product_bound(epsilon) -> tuple[int, int]:
         P = m * inv
 
 
-def _run_end(a: int, b: int, c: int, i: int, hi: int) -> int:
-    """Last d <= hi up to which the cell index floor((a d + b)/(c d)) stays i.
+#: Largest calibrated digit-product cap a box count walks: 2^-18 (P = 2,359,296)
+#: is the finest dyadic scale under it, 2^-19 (P = 5,242,880) is refused.
+BOX_MAX_PRODUCT = 2**22
 
-    For c > 0 the index tends monotonically to a/c: it falls with d when
-    b > 0 and rises when b < 0.  Given that it is i at some d, it stays i up
-    to b // (i c - a) when b > 0, and up to (-b - 1) // (a - (i+1) c) when
-    b < 0; it never changes when that divisor is not positive or b = 0.
+
+def _capped_product_bound(epsilon: Fraction) -> tuple[int, int]:
+    """calibrate_product_bound(epsilon), refused above BOX_MAX_PRODUCT before any walk."""
+    P, m = calibrate_product_bound(epsilon)
+    if P > BOX_MAX_PRODUCT:
+        raise ResourceLimitError(
+            f"scale {epsilon} calibrates product cap {P}, above BOX_MAX_PRODUCT = {BOX_MAX_PRODUCT}"
+        )
+    return P, m
+
+
+def _cell_runs(ax: int, bx: int, ay: int, by: int, c: int, d: int, hi: int):
+    """Cells ((ax k + bx) // (c k), (ay k + by) // (c k)) for k = d .. hi, one per run.
+
+    For c > 0 an index floor((a k + b)/(c k)) tends monotonically to a/c: it
+    falls with k when b > 0 and rises when b < 0.  Being i at k, it stays i
+    up to b // (i c - a) when b > 0, and up to (-b - 1) // (a - (i+1) c) when
+    b < 0; it never changes when that divisor is not positive or b = 0.  A
+    run of equal cells ends where the first of its two indices changes, so
+    consecutive cells yielded differ.
     """
-    if b > 0 and i * c > a:
-        return min(hi, b // (i * c - a))
-    if b < 0 and a > (i + 1) * c:
-        return min(hi, (-b - 1) // (a - (i + 1) * c))
-    return hi
+    while d <= hi:
+        cd = c * d
+        ix, iy = (ax * d + bx) // cd, (ay * d + by) // cd
+        yield ix, iy
+        end = hi
+        if bx > 0:
+            if (t := ix * c - ax) > 0 and (e := bx // t) < end:
+                end = e
+        elif bx < 0 and (t := ax - (ix + 1) * c) > 0 and (e := (-bx - 1) // t) < end:
+            end = e
+        if by > 0:
+            if (t := iy * c - ay) > 0 and (e := by // t) < end:
+                end = e
+        elif by < 0 and (t := ay - (iy + 1) * c) > 0 and (e := (-by - 1) // t) < end:
+            end = e
+        d = end + 1
 
 
 def _grid_equivalent(epsilon: Fraction, bound: int) -> tuple[int, int]:
@@ -546,26 +599,23 @@ def box_count_empirical(epsilon) -> int:
 
     The cap P alone ends the walk: k increasing digits have product at
     least k!, so a node at the calibrated depth m, m! <= P < (m+1)!, has
-    P // prod <= m <= its last digit, and no child.
+    P // prod <= m <= its last digit, and no child.  A node's children
+    d <= P // prod cost one step per run of equal cells (see _cell_runs):
+    over 2^-6..2^-14, 188,455 runs for 115,304 cells.  A scale whose P
+    exceeds BOX_MAX_PRODUCT raises ResourceLimitError before the walk.
     """
     epsilon = as_rational(epsilon)
-    P, m = calibrate_product_bound(epsilon)
+    P, m = _capped_product_bound(epsilon)
     en, ed = _grid_equivalent(epsilon, P)
     # the children's constant terms by node depth k < m; a call per node cost 2% here
     consts = [child_numerators(k, 0, 0, 0, 0)[1:] for k in range(m)]
     cells = set()
     for prefix, prod, value_num, err_num in walk_prefixes(_sample_parents(P)):
-        # child d <= hi = P // prod has cell ((ax d + bx) // (c d), (ay d + by) // (c d));
-        # both indices are monotone in d, so each run of equal cells is one step
+        # child d <= P // prod samples (value_num d + x0, -(err_num d + y0)) / (prod d);
+        # its cell is that over en/ed
         x0, y0 = consts[len(prefix)]
-        c = prod * en
-        ax, bx = value_num * ed, x0 * ed
-        ay, by = -err_num * ed, -y0 * ed
         d, hi = prefix[-1] + 1 if prefix else 1, P // prod
-        while d <= hi:
-            ix, iy = (ax * d + bx) // (c * d), (ay * d + by) // (c * d)
-            cells.add((ix, iy))
-            d = min(_run_end(ax, bx, c, ix, hi), _run_end(ay, by, c, iy, hi)) + 1
+        cells.update(_cell_runs(value_num * ed, x0 * ed, -err_num * ed, -y0 * ed, prod * en, d, hi))
     return len(cells)
 
 
@@ -574,6 +624,8 @@ def box_count_sweep(epsilons) -> list[tuple[Rat, int]]:
     eps = [as_rational(e) for e in epsilons]
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise DomainError("scales must be strictly decreasing")
+    if eps:  # the finest scale calibrates the largest cap: refuse before any walk
+        _capped_product_bound(eps[-1])
     return [(e, box_count_empirical(e)) for e in eps]
 
 

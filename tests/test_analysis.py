@@ -444,6 +444,12 @@ class TestHausdorffCoverSum:
         with pytest.raises(DomainError):
             hausdorff_cover_sum(3, 2, 2)
 
+    def test_non_integer_arguments_rejected(self):
+        # 2.0 raised a TypeError and n=True was taken as order 1
+        for n, cap in [(True, 20), (2.0, 20), (F(2), 20), (2, True), (2, 20.0), (2, F(20))]:
+            with pytest.raises(DomainError):
+                hausdorff_cover_sum(n, F(3, 2), cap)
+
 
 class TestLambdaCoverCounts:
     def test_order_search_against_factorials(self):
@@ -481,6 +487,7 @@ class TestLambdaCoverCounts:
             (9, 8, 193184495, 6002, "2439d149631aaba96481e908271ddda166825ddadd70918c0fcc3a926acc16c1"),
             (10, 8, 838437226, 5250, "d78249ab2c30857ed561d41858cfb5301319372aab94caa6b04596e6cf899828"),
             (11, 9, 7761709389, 6342, "34742c17cc2824d668b87f71bff7481a8c96984ce30cb99606455e91063edb37"),
+            (16, 11, 54379638126740, 3309, "d7789191845f193e1e600de85e7c2c185b1c091bf7d8d42de766868a9415b11a"),
         ],
     )
     def test_reports_pinned(self, M, n, total_bound, epsilon_bits, digest):
@@ -489,6 +496,24 @@ class TestLambdaCoverCounts:
         assert (rep.n, rep.total_bound, rep.chain_holds) == (n, total_bound, True)
         assert rep.epsilon.denominator.bit_length() == epsilon_bits
         assert hashlib.sha256(repr(rep).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "M,n,total_bound,epsilon_bits",
+        [(17, 11, 231207262898484, (14351, 14374)), (20, 13, 87927900281372837, (10472, 10500))],
+    )
+    def test_repr_past_the_int_str_limit(self, M, n, total_bound, epsilon_bits):
+        # str() of some a_k terms (and at M = 17 of epsilon's) exceeds the 4300-digit
+        # limit; the repr shows those by bit length while the fields keep them exactly
+        rep = lambda_cover_counts(M)
+        assert (rep.n, rep.total_bound, rep.chain_holds) == (n, total_bound, True)
+        eps = rep.epsilon
+        assert (eps.numerator.bit_length(), eps.denominator.bit_length()) == epsilon_bits
+        text = repr(rep)
+        assert str(rep) == text
+        shown = "Fraction(<14351-bit int>, <14374-bit int>)" if M == 17 else repr(eps)
+        assert text.startswith(f"CoverReport(M=Fraction({M}, 1), epsilon={shown}, n={n}, a=(")
+        assert text.endswith(f"), total_bound={total_bound}, chain_holds=True)")
+        assert text.count("Enclosure(") == n + 1 and "-bit int>" in text.split(", a=(")[1]
 
     def test_chain_certified_out_of_order_is_false(self, monkeypatch):
         # log k pinned to -(M + 3/2) makes each base 1/2, so a_2 > a_3 > ... certifiably
@@ -533,6 +558,26 @@ class TestBoxCounting:
     def test_sweep_requires_decreasing(self):
         with pytest.raises(DomainError):
             box_count_sweep([F(1, 4), F(1, 4)])
+
+    def test_finest_benchmark_scales_pinned(self):
+        # the benchmark's PINNED_BOX_COUNTS at its finest scales, taken before the
+        # one-step run rule; the oracle and the golden CLI pin stop at 2^-10 and 2^-11
+        counts = box_count_sweep([F(1, 2**12), F(1, 2**13), F(1, 2**14)])
+        assert [c for _, c in counts] == [13813, 28876, 60056]
+
+    def test_product_cap_refuses_before_any_walk(self, monkeypatch):
+        def refuse(children):
+            raise AssertionError("walk started above BOX_MAX_PRODUCT")
+
+        monkeypatch.setattr(analysis, "walk_prefixes", refuse)
+        # 2^-18 calibrates P = 2,359,296, under the cap; 2^-19 calibrates 5,242,880
+        assert calibrate_product_bound(F(1, 2**18))[0] <= analysis.BOX_MAX_PRODUCT
+        assert calibrate_product_bound(F(1, 2**19))[0] > analysis.BOX_MAX_PRODUCT
+        for scales in ([F(1, 2**19)], [F(1, 2**40)], [F(1, 2**k) for k in range(1, 41)]):
+            with pytest.raises(ResourceLimitError, match="BOX_MAX_PRODUCT"):
+                box_count_sweep(scales)
+        with pytest.raises(ResourceLimitError, match="BOX_MAX_PRODUCT"):
+            box_count_empirical(F(1, 2**40))
 
 
 class TestDimensionSlope:

@@ -193,6 +193,14 @@ class TestDimension:
             code, _, err = run(capsys, "dimension", "--pow-min", pow_min, "--pow-max", "7")
             assert code == 1 and "domain error:" in err and "Traceback" not in err
 
+    def test_product_cap_exit_code(self, capsys, monkeypatch):
+        def refuse(children):
+            raise AssertionError("walk started above BOX_MAX_PRODUCT")
+
+        monkeypatch.setattr(analysis, "walk_prefixes", refuse)
+        code, out, err = run(capsys, "dimension", "--pow-max", "40")
+        assert code == 3 and out == "" and "resource limit" in err and "BOX_MAX_PRODUCT" in err
+
     def test_sample_depth_below_one_rejected(self, capsys):
         # the flag is gone: the product cap alone bounds the sample depth
         for depth in ("0", "-5"):

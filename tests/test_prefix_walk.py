@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction as F
-from itertools import combinations, count, islice
+from itertools import combinations, count, groupby, islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +25,7 @@ from piercesum import (
     variation_over_partition,
 )
 from piercesum import analysis, lambda_cover_counts
-from piercesum.analysis import _grid_equivalent, _qualifying_children, _run_end, _sample_parents
+from piercesum.analysis import _cell_runs, _grid_equivalent, _qualifying_children, _sample_parents
 from piercesum.core import child_numerators, digit_numerators
 from piercesum.intervals import capped_masses, interval_length
 from piercesum.sequences import walk_prefixes
@@ -139,23 +139,29 @@ big_c = st.integers(min_value=1, max_value=4000).flatmap(
 ratios = st.fractions(min_value=-3, max_value=3, max_denominator=60)
 offsets = st.fractions(min_value=-80, max_value=80, max_denominator=60)
 nudges = st.integers(min_value=-3, max_value=3)
+# one coordinate: a = floor(c ratio) + nudge, b = floor(c offset) + nudge
+lines = st.tuples(ratios, nudges, offsets, nudges)
 
 
-@given(big_c, ratios, nudges, offsets, nudges, st.integers(min_value=1, max_value=8))
-@example(7, F(1, 3), 0, F(5), 0, 1)  # b > 0
-@example(7, F(1, 3), 0, F(-5), 0, 1)  # b < 0
-@example(7, F(1, 3), 0, F(0), 0, 1)  # b = 0
-@example(2**3000 + 1, F(-2), 1, F(-17), -1, 3)
+@given(big_c, lines, lines, st.integers(min_value=1, max_value=8))
+@example(7, (F(1, 3), 0, F(5), 0), (F(1, 3), 0, F(-5), 0), 1)  # b > 0, then b < 0
+@example(7, (F(1, 3), 0, F(-5), 0), (F(1, 3), 0, F(0), 0), 1)  # b < 0, then b = 0
+@example(7, (F(1, 3), 0, F(0), 0), (F(1, 3), 0, F(5), 0), 1)  # b = 0, then b > 0
+@example(2**3000 + 1, (F(-2), 1, F(-17), -1), (F(2), -1, F(17), 1), 3)
+# x (then y) reaches its next index exactly on a grid line at d = 7, and y (then x)
+# moves at d = 8: the cell at d = 7 is a run of one
+@example(7, (F(-3), 0, F(-7), 0), (F(1, 3), 0, F(5), 0), 1)
+@example(7, (F(1, 3), 0, F(5), 0), (F(-3), 0, F(-7), 0), 1)
 @settings(max_examples=300, deadline=None)
-def test_run_end_matches_a_brute_force_scan(c, ratio, da, offset, db, d0):
-    a = math.floor(c * ratio) + da
-    b = math.floor(c * offset) + db
+def test_cell_runs_match_a_brute_force_scan(c, x, y, d0):
+    (ratio_x, da_x, offset_x, db_x), (ratio_y, da_y, offset_y, db_y) = x, y
+    ax, bx = math.floor(c * ratio_x) + da_x, math.floor(c * offset_x) + db_x
+    ay, by = math.floor(c * ratio_y) + da_y, math.floor(c * offset_y) + db_y
     hi = d0 + 400
-    i = cell_index(a, b, c, d0)
-    end = d0
-    while end < hi and cell_index(a, b, c, end + 1) == i:
-        end += 1
-    assert _run_end(a, b, c, i, hi) == end
+    scan = [(cell_index(ax, bx, c, d), cell_index(ay, by, c, d)) for d in range(d0, hi + 1)]
+    runs = [cell for cell, _ in groupby(scan)]
+    # one cell past the runs at most, so that a step which fails to advance cannot hang
+    assert list(islice(_cell_runs(ax, bx, ay, by, c, d0, hi), len(runs) + 1)) == runs
 
 
 def floor_root(n, k):
