@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .certify import exp_enclosure, iroot, log_enclosure, pow_enclosure, refine
 from .core import MAX_DEPTH, DepthOverflowError, DomainError, Rat, ResourceLimitError
-from .core import as_rational, child_numerators
+from .core import as_rational, check_count, child_numerators
 from .errorsum import _cylinder_extrema, esum
 from .intervals import FundInterval, _fundamental_interval, capped_masses
 from .sequences import Enclosure, PierceSeq, walk_prefixes
@@ -130,11 +130,7 @@ def integrate_esum(grid: int) -> IntegralReport:
     table of small shifts through the Pierce cylinder of k/grid with one
     big-integer remainder (see _grid_total).
     """
-    if type(grid) is not int:
-        raise DomainError(f"grid must be an int, got {grid!r}")
-    if grid < 1:
-        raise DomainError("grid must be >= 1")
-    if grid > INTEGRAL_MAX_GRID:
+    if check_count(grid, 1, "grid") > INTEGRAL_MAX_GRID:
         raise ResourceLimitError(f"grid {grid} exceeds the cap {INTEGRAL_MAX_GRID}")
     estimate = Fraction(_grid_total(grid), grid * INTEGRAL_SCALE)
     return IntegralReport(
@@ -175,15 +171,10 @@ def variation_over_partition(n: int, digit_cap: "int | None" = None) -> Variatio
     and the telescoped tails.  They recombine to n exactly, which is
     asserted as a two-route consistency check.
     """
-    if type(n) is not int or not (digit_cap is None or type(digit_cap) is int):
-        raise DomainError(f"order and digit cap must be ints, got {n!r}, {digit_cap!r}")
-    if n < 1:
-        raise DomainError("partition order must be >= 1")
+    check_count(n, 1, "partition order")
     if digit_cap is None:
         return VariationReport(n, None, Fraction(n), Fraction(0))
-    if digit_cap < 1:
-        raise DomainError("digit cap must be >= 1")
-    covered, residual = capped_masses(n, digit_cap)
+    covered, residual = capped_masses(n, check_count(digit_cap, 1, "digit cap"))
     report = VariationReport(n, digit_cap, n * covered, residual)
     if report.total != n:
         raise AssertionError(f"partition mass identity failed at order {n}, cap {digit_cap}")
@@ -250,11 +241,13 @@ def _qualifying_children(prefix, prod, err_num, y):
 
 
 def ivt_root(a, b, y, width_tol) -> RootBracket:
-    """Localize a solution of E(x) = y inside (a, b) by branch and bound.
+    """A fundamental interval narrower than width_tol that meets (a, b), its E* range holding y.
 
-    Keeps fundamental intervals that meet (a, b) and whose exact error-sum
-    range contains y, always refining the leftmost candidate first, until
-    an interval narrower than width_tol remains.
+    Branch and bound keeps the intervals that meet (a, b) and whose exact
+    error-sum range contains y, always refining the leftmost candidate
+    first, and returns the first one narrower than width_tol.  Meeting is
+    all it promises: the interval may reach past a or b, so it need not
+    localize a solution of E(x) = y inside (a, b).
     """
     a, b, y = as_rational(a), as_rational(b), as_rational(y)
     width_tol = as_rational(width_tol)
@@ -345,15 +338,11 @@ def hausdorff_cover_sum(n: int, s, digit_cap: int) -> CoverSum:
     at most (sqrt(n^2+1) * max omitted length)^(s-1) times their total
     length, which telescopes exactly.
     """
-    if type(n) is not int or type(digit_cap) is not int:
-        raise DomainError(f"order and digit cap must be ints, got {n!r}, {digit_cap!r}")
+    check_count(n, 1, "order")
+    check_count(digit_cap, n, "digit cap")  # room for an order-n prefix
     s = as_rational(s)
-    if n < 1:
-        raise DomainError("order must be >= 1")
     if s < 1:
         raise DomainError("exponent must be >= 1")
-    if digit_cap < n:
-        raise DomainError(f"digit cap {digit_cap} cannot host an order-{n} prefix")
     p, q, scale = s.numerator, s.denominator, COVER_SCALE
     diam_sq = n * n + 1  # diameter^2 = (n^2+1) * length^2
 
@@ -370,15 +359,14 @@ def hausdorff_cover_sum(n: int, s, digit_cap: int) -> CoverSum:
             for prod, mult in layers[j - 1].items():
                 layers[j][prod * d] += mult
 
-    # each term is ((n^2+1)^p / L^(2p)) ^ (1/(2q)), scaled and bracketed by one
-    # floor root r: the root of shifted+1 is r+1 if (r+1)^(2q) = shifted+1, else r
+    # each scaled term t = ((n^2+1)^p / L^(2p)) ^ (1/(2q)) * scale has floor root
+    # r = iroot(shifted, 2q), shifted = floor(t^(2q)); t^(2q) < shifted + 1 <=
+    # (r+1)^(2q), so r <= t < r + 1, and the multiplicities count C(cap, n) prefixes
     numerator = diam_sq**p * scale ** (2 * q)
-    lo_total = hi_total = 0
-    for L, mult in multiplicity.items():
-        shifted = numerator // L ** (2 * p)
-        root = iroot(shifted, 2 * q)
-        lo_total += mult * root
-        hi_total += mult * (root + 2 if (root + 1) ** (2 * q) == shifted + 1 else root + 1)
+    lo_total = sum(
+        mult * iroot(numerator // L ** (2 * p), 2 * q) for L, mult in multiplicity.items()
+    )
+    hi_total = lo_total + math.comb(digit_cap, n)
     residual = capped_masses(n, digit_cap)[1]
 
     # every omitted interval has some digit > cap, so its length is at most
@@ -692,11 +680,7 @@ def count_bounded_products(
     product at most p (bound p(2+log p)^(m-1)); ``increasing=True`` counts
     strictly increasing sequences of length exactly m (same bound over m!).
     """
-    if type(p) is not int or type(m) is not int:
-        raise DomainError(f"p and m must be ints, got {p!r}, {m!r}")
-    if p < 1 or m < 1:
-        raise DomainError("need p >= 1 and m >= 1")
-    if p * m > budget:
+    if check_count(p, 1, "product cap p") * check_count(m, 1, "length m") > budget:
         raise ResourceLimitError(f"p*m = {p * m} exceeds budget {budget}")
 
     if increasing:
@@ -742,9 +726,7 @@ def count_bounded_products(
 
 def factorial_bounds_check(n: int) -> bool:
     """Certify n^n / e^(n-1) <= n! <= n^(n+1) / e^(n-1) in exact arithmetic."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    fact = math.factorial(n)
+    fact = math.factorial(check_count(n, 1, "n"))
     lower, upper = n**n, n ** (n + 1)
 
     def verdict(terms):  # both sides certified true, or one certified false; else None

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .core import DomainError, Rat, ResourceLimitError, as_rational
+from .core import DomainError, Rat, ResourceLimitError, as_rational, check_count
 from .sequences import Enclosure
 
 SERIES_TERMS = 48  # first term count of the e^x and log enclosures; refine doubles it
@@ -35,10 +35,8 @@ def iroot(n: int, k: int) -> int:
     factor 2 of k is taken by math.isqrt, and Newton iteration finds the
     root for the odd index that is left.
     """
-    if n < 0:
-        raise DomainError("iroot needs a non-negative integer")
-    if k < 1:
-        raise DomainError("root index must be >= 1")
+    check_count(n, 0, "iroot radicand")
+    check_count(k, 1, "root index")
     while k % 2 == 0:
         n, k = math.isqrt(n), k // 2
     if n == 0 or k == 1:
@@ -56,8 +54,7 @@ def root_enclosure(x, k: int, scale: int = 10**30) -> Enclosure:
     x = as_rational(x)
     if x < 0:
         raise DomainError("root_enclosure needs x >= 0")
-    if k < 1:
-        raise DomainError("root index must be >= 1")
+    check_count(k, 1, "root index")
     # x^(1/k) * scale = (num * scale^k / den)^(1/k)
     shifted = x.numerator * scale**k // x.denominator
     lo = iroot(shifted, k)
@@ -82,8 +79,7 @@ def exp_enclosure(x, terms: int = SERIES_TERMS) -> Enclosure:
     reciprocal.
     """
     x = as_rational(x)
-    if terms < 2:
-        raise DomainError("need at least 2 series terms")
+    check_count(terms, 2, "series terms")
     if x < 0:
         return exp_enclosure(-x, terms).reciprocal()
     halvings = 0
@@ -129,8 +125,7 @@ def log_enclosure(x, terms: int = SERIES_TERMS) -> Enclosure:
     x = as_rational(x)
     if x <= 0:
         raise DomainError("log_enclosure needs x > 0")
-    if terms < 2:
-        raise DomainError("need at least 2 series terms")
+    check_count(terms, 2, "series terms")
     if x < 1:
         return -log_enclosure(1 / x, terms)
     m = x.numerator.bit_length() - x.denominator.bit_length()

@@ -22,7 +22,7 @@ from itertools import chain, combinations, islice
 from math import gcd, isfinite
 
 from . import analysis, core, errorsum
-from .core import DepthOverflowError, DomainError, as_rational, constant_stream, expand
+from .core import DepthOverflowError, DomainError, as_rational, check_count, constant_stream, expand
 from .sequences import DEFAULT_DEPTH, Enclosure, PierceSeq
 
 SCHEMA_VERSION = 1
@@ -131,10 +131,8 @@ def _graph_rows(order_max: int, digit_cap: int):
 def _cmd_graph(args):
     # validate here, not in the lazy row generator, so that a bad argument
     # fails before any output is opened
-    if args.order < 1:
-        raise DomainError("order must be >= 1")
-    if args.digit_cap < 1:
-        raise DomainError("digit cap must be >= 1")
+    check_count(args.order, 1, "order")
+    check_count(args.digit_cap, 1, "digit cap")
     rows = _graph_rows(args.order, args.digit_cap)
     return {"order_max": args.order, "digit_cap": args.digit_cap, "rows": rows}, EXIT_OK
 

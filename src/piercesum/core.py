@@ -19,9 +19,6 @@ Rat = Fraction
 #: The infinite digit (one-point compactification of the positive integers).
 INF = math.inf
 
-#: A digit: positive int, or INF once an expansion has terminated.
-ExtDigit = int | float
-
 #: Most digits an expansion, a prefix or a truncation may have.  Rational
 #: expansions are always finite, but their length is only bounded by the
 #: numerator; fail loudly instead of looping on absurd inputs.
@@ -38,6 +35,17 @@ class ResourceLimitError(RuntimeError):
 
 class DepthOverflowError(RuntimeError):
     """An expansion or truncation depth exceeded its configured cap."""
+
+
+def check_count(value, least: int, what: str) -> int:
+    """value if it is an int, not a bool, and at least least; else DomainError.
+
+    The one rule for counts, orders, depths, indices, caps and grids: a
+    bool or a float would otherwise be read as 0, 1 or a slice bound.
+    """
+    if type(value) is not int or value < least:
+        raise DomainError(f"{what} must be an int >= {least}, got {value!r}")
+    return value
 
 
 def as_rational(value) -> Rat:
@@ -96,8 +104,7 @@ def shift(x) -> Rat:
 def shift_power(x, n: int) -> Rat:
     """n-th iterate of the shift map."""
     x = _check_unit(as_rational(x))
-    if n < 0:
-        raise DomainError("iteration count must be >= 0")
+    check_count(n, 0, "iteration count")
     p, q = x.numerator, x.denominator
     for _ in range(n):
         if p == 0:
@@ -125,8 +132,7 @@ def expand(x) -> tuple[int, ...]:
 
 def convergent(x, n: int) -> Rat:
     """n-th partial sum of the Pierce expansion of x; INF digits contribute 0."""
-    if n < 1:
-        raise DomainError("convergent order must be >= 1")
+    check_count(n, 1, "convergent order")
     digits = expand(x)
     return evaluate_digits(digits[:n])
 
@@ -176,18 +182,16 @@ class DigitStream:
     b: int = 0
 
     def __post_init__(self):
-        if self.a < 1 or self.a + self.b < 1:
-            raise DomainError(f"arithmetic rule d_n = {self.a}n + {self.b} violates d_n >= n")
+        check_count(self.a, 1, "stream slope a")
+        check_count(self.b, 1 - self.a, "stream offset b")  # so d_1 = a + b >= 1
 
     def digit(self, n: int) -> int:
         """Digit at 1-based position n."""
-        if n < 1:
-            raise DomainError("digit positions are 1-based")
-        return self.a * n + self.b
+        return self.a * check_count(n, 1, "digit position") + self.b
 
     def digits(self, count: int) -> Iterator[int]:
         for n in range(1, count + 1):
-            yield self.digit(n)
+            yield self.a * n + self.b
 
 
 #: Named digit streams for constants whose Pierce digits are known in

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, Rat, as_rational, child_numerators, digit_numerators, estar_digits
-from .core import evaluate_digits, expand, shift_power
+from .core import DomainError, Rat, as_rational, check_count, child_numerators, digit_numerators
+from .core import estar_digits, evaluate_digits, expand, shift_power
 from .intervals import interval_length
 from .sequences import (
     DEFAULT_DEPTH,
@@ -44,8 +44,7 @@ def estar_by_definition(seq, depth: int = DEFAULT_DEPTH) -> Enclosure:
     other.
     """
     seq = as_sequence(seq)
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
+    check_count(depth, 1, "depth")
     if seq.is_finite:
         digits = seq.finite_digits()
         value = evaluate_digits(digits)
@@ -209,8 +208,7 @@ def recursion_check(x, n: int) -> bool:
     total_k = total_{k-1} d_k + value_num_k, s_k = value_num_k/prod_k.
     """
     x = as_rational(x)
-    if n < 1:
-        raise DomainError("recursion depth must be >= 1")
+    check_count(n, 1, "recursion depth")
     digits = expand(x)
     head = digits[:n]
     prod, value_num, total = 1, 0, 0

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import DomainError, Rat, as_rational, child_numerators, digit_numerators, expand
+from .core import DomainError, Rat, as_rational, check_count, child_numerators, digit_numerators
+from .core import expand
 from .sequences import _check_prefix, _realizable_digits
 
 
@@ -124,18 +125,15 @@ def partition(n: int, digit_cap: int) -> Partition:
     Intervals come out in lexicographic prefix order and are mutually
     disjoint; the exact residual says how much of [0, 1] the cap leaves out.
     """
-    if n < 1:
-        raise DomainError("partition order must be >= 1")
-    if digit_cap < 1:
-        raise DomainError("digit cap must be >= 1")
+    check_count(n, 1, "partition order")
+    check_count(digit_cap, 1, "digit cap")
     intervals = tuple(fundamental_interval(p) for p in combinations(range(1, digit_cap + 1), n))
     return Partition(n, digit_cap, intervals, capped_masses(n, digit_cap)[1])
 
 
 def locate(x, n: int) -> tuple[int, ...]:
     """First n digits of x, verified to place x inside their interval."""
-    if n < 1:
-        raise DomainError("locate order must be >= 1")
+    check_count(n, 1, "locate order")
     x = as_rational(x)
     digits = expand(x)
     if len(digits) < n:

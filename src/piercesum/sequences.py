@@ -20,6 +20,7 @@ from .core import (
     DigitStream,
     DomainError,
     Rat,
+    check_count,
     child_numerators,
     evaluate_digits,
 )
@@ -104,6 +105,7 @@ class Enclosure:
     def power(self, k: int) -> "Enclosure":
         if k < 0:
             return self.power(-k).reciprocal()
+        check_count(k, 0, "power exponent")
         if self.lo >= 0:  # the repeated product's endpoints, without a gcd per factor
             return Enclosure(Fraction(self.lo) ** k, Fraction(self.hi) ** k)
         out = Enclosure.exact(1)
@@ -176,9 +178,7 @@ class PierceSeq:
         The junction of prefix and stream is checked at construction, and
         the stream's rule rises by a >= 1, so stream digits need no check.
         """
-        if depth < 0:
-            raise DomainError("depth must be >= 0")
-        if depth > MAX_DEPTH:
+        if check_count(depth, 0, "depth") > MAX_DEPTH:
             raise DepthOverflowError(f"depth {depth} exceeds cap {MAX_DEPTH}")
         if self.tail is None or depth <= len(self.prefix):
             return self.prefix[:depth]
@@ -186,9 +186,7 @@ class PierceSeq:
 
     def digit_at(self, n: int) -> "int | float":
         """Digit at 1-based position n, INF past the end of a finite sequence."""
-        if n < 1:
-            raise DomainError("digit positions are 1-based")
-        ds = self.digits(n)
+        ds = self.digits(check_count(n, 1, "digit position"))
         return ds[n - 1] if len(ds) >= n else INF
 
     def finite_digits(self) -> tuple[int, ...]:
@@ -235,8 +233,7 @@ def phi_partial(seq, n: int) -> Rat:
 def _truncation_bracket(seq, depth: int, kernel) -> Enclosure:
     """kernel of a finite sequence exactly, else between its depth and depth+1 truncations."""
     seq = as_sequence(seq)
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
+    check_count(depth, 1, "depth")
     if seq.tail is None:
         return Enclosure.exact(kernel(seq.prefix))
     digits = seq.digits(depth + 1)
@@ -259,10 +256,8 @@ def truncate(seq, n: int) -> PierceSeq:
 
     The result can be non-realizable even when the input is realizable.
     """
-    if n < 1:
-        raise DomainError("truncation order must be >= 1")
-    seq = as_sequence(seq)
-    return PierceSeq(seq.digits(n))
+    check_count(n, 1, "truncation order")
+    return PierceSeq(as_sequence(seq).digits(n))
 
 
 def hat(seq) -> PierceSeq:
@@ -309,8 +304,7 @@ def rho_seq(sigma, tau, depth: int = DEFAULT_DEPTH) -> Enclosure:
     ratio of the two distances tends to s+1 as N grows.
     """
     sigma, tau = as_sequence(sigma), as_sequence(tau)
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
+    check_count(depth, 1, "depth")
     if sigma == tau:
         return Enclosure.exact(0)
     both_finite = sigma.is_finite and tau.is_finite

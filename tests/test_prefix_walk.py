@@ -181,8 +181,9 @@ def cover_sum_oracle(n, s, digit_cap, scale):
     for prefix in combinations(range(1, digit_cap + 1), n):
         base = F(diam_sq) ** p * interval_length(prefix) ** (2 * p)
         shifted = base.numerator * scale ** (2 * q) // base.denominator
-        lo_total += floor_root(shifted, 2 * q)
-        hi_total += floor_root(shifted + 1, 2 * q) + 1
+        root = floor_root(shifted, 2 * q)  # term^(2q) < shifted + 1 <= (root + 1)^(2q)
+        lo_total += root
+        hi_total += root + 1
     residual = capped_masses(n, digit_cap)[1]
     longest_omitted = F(1, math.factorial(n - 1) * (digit_cap + 1) * (digit_cap + 2))
 
@@ -208,6 +209,22 @@ def test_cover_sum_matches_the_per_prefix_oracle(order_cap, s, scale):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "COVER_SCALE", scale)
         assert hausdorff_cover_sum(n, s, cap) == cover_sum_oracle(n, s, cap, scale)
+
+
+def test_cover_sum_bracket_holds_the_sum_at_a_finer_scale():
+    # at scale 10^6 one length of this case has (r+1)^(2q) = shifted + 1 for its
+    # floor root r; its term still lies below (r+1)/scale, here checked per prefix
+    n, s, cap, fine = 5, F(3, 2), 8, 10**30
+    p, q = s.numerator, s.denominator
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "COVER_SCALE", 10**6)
+        rep = hausdorff_cover_sum(n, s, cap)
+    lo = hi = 0
+    for prefix in combinations(range(1, cap + 1), n):
+        base = F(n * n + 1) ** p * interval_length(prefix) ** (2 * p)
+        root = floor_root(base.numerator * fine ** (2 * q) // base.denominator, 2 * q)
+        lo, hi = lo + root, hi + root + 1
+    assert rep.capped_lower <= F(lo, fine) and F(hi, fine) <= rep.capped_upper
 
 
 def test_box_count_oracle_counts_the_seed_pins():
