@@ -23,7 +23,7 @@ from .intervals import FundInterval, _fundamental_interval, capped_masses
 from .sequences import Enclosure, PierceSeq, walk_prefixes
 
 
-class DegenerateFitError(ValueError):
+class DegenerateFitError(DomainError):
     """A regression input carries no usable signal."""
 
 
@@ -420,9 +420,10 @@ def _brief(x: Fraction) -> str:
     """repr(x), or its terms' bit lengths if one may be too long for str().
 
     str() refuses an int of more than sys.get_int_max_str_digits() digits
-    (0: no limit); an int of at most 3 bits per allowed digit is within it.
+    (0: no limit, as on Python 3.10.0-3.10.6, which lack the function); an
+    int of at most 3 bits per allowed digit is within it.
     """
-    limit = 3 * sys.get_int_max_str_digits()
+    limit = 3 * getattr(sys, "get_int_max_str_digits", lambda: 0)()
     num, den = x.numerator.bit_length(), x.denominator.bit_length()
     if not limit or max(num, den) <= limit:
         return repr(x)
@@ -628,15 +629,11 @@ class SlopeFit:
 
 def dimension_slope(points) -> SlopeFit:
     """Fit log(count) on log(1/eps) exactly, rounded once; the slope estimates the dimension."""
-    pts = [(as_rational(e), c) for e, c in points]
-    if any(type(c) is not int for _, c in pts):
-        raise DomainError(f"counts must be ints, got {[c for _, c in pts]}")
+    pts = [(as_rational(e), check_count(c, 1, "count")) for e, c in points]
     if len(pts) < 3:
         raise DegenerateFitError("need at least 3 scales for a slope")
     if any(e2 >= e1 for (e1, _), (e2, _) in zip(pts, pts[1:])):
         raise DegenerateFitError("scales must be strictly decreasing")
-    if any(c < 1 for _, c in pts):
-        raise DegenerateFitError("counts must be positive")
     if len({c for _, c in pts}) == 1:
         raise DegenerateFitError("all counts equal: no scaling signal to fit")
     # math.log(e) goes through float(e), which underflows to 0.0 below about 2^-1074
@@ -680,6 +677,7 @@ def count_bounded_products(
     product at most p (bound p(2+log p)^(m-1)); ``increasing=True`` counts
     strictly increasing sequences of length exactly m (same bound over m!).
     """
+    check_count(budget, 1, "budget")
     if check_count(p, 1, "product cap p") * check_count(m, 1, "length m") > budget:
         raise ResourceLimitError(f"p*m = {p * m} exceeds budget {budget}")
 

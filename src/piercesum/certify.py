@@ -55,6 +55,7 @@ def root_enclosure(x, k: int, scale: int = 10**30) -> Enclosure:
     if x < 0:
         raise DomainError("root_enclosure needs x >= 0")
     check_count(k, 1, "root index")
+    check_count(scale, 1, "scale")
     # x^(1/k) * scale = (num * scale^k / den)^(1/k)
     shifted = x.numerator * scale**k // x.denominator
     lo = iroot(shifted, k)

@@ -22,7 +22,7 @@ from itertools import chain, combinations, islice
 from math import gcd, isfinite
 
 from . import analysis, core, errorsum
-from .core import DepthOverflowError, DomainError, as_rational, check_count, constant_stream, expand
+from .core import DomainError, ResourceLimitError, as_rational, check_count, constant_stream, expand
 from .sequences import DEFAULT_DEPTH, Enclosure, PierceSeq
 
 SCHEMA_VERSION = 1
@@ -392,12 +392,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (analysis.ResourceLimitError, DepthOverflowError) as exc:
+    except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except analysis.DegenerateFitError as exc:
-        print(f"degenerate fit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

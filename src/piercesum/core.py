@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 Rat = Fraction
 
@@ -33,7 +33,7 @@ class ResourceLimitError(RuntimeError):
     """An enumeration or refinement exceeded its configured budget."""
 
 
-class DepthOverflowError(RuntimeError):
+class DepthOverflowError(ResourceLimitError):
     """An expansion or truncation depth exceeded its configured cap."""
 
 
@@ -46,6 +46,28 @@ def check_count(value, least: int, what: str) -> int:
     if type(value) is not int or value < least:
         raise DomainError(f"{what} must be an int >= {least}, got {value!r}")
     return value
+
+
+def check_prefix(prefix: Sequence[int], what: str | None = None) -> tuple[int, ...]:
+    """prefix as a tuple if its digits are ints, not bools, strictly increasing from 1.
+
+    The one rule for digit prefixes: more than MAX_DEPTH digits raise
+    DepthOverflowError, any other fault DomainError.  Given the name of the
+    operation, ``what``, the empty prefix is refused too.
+    """
+    prefix = tuple(prefix)
+    if len(prefix) > MAX_DEPTH:
+        raise DepthOverflowError(f"depth {len(prefix)} exceeds cap {MAX_DEPTH}")
+    if what is not None and not prefix:
+        raise DomainError(f"{what} needs a non-empty prefix")
+    last = 0
+    for d in prefix:
+        if type(d) is not int:
+            raise DomainError(f"prefix digit {d!r} is not an int")
+        if d <= last:
+            raise DomainError(f"prefix {prefix} is not strictly increasing from 1")
+        last = d
+    return prefix
 
 
 def as_rational(value) -> Rat:

@@ -12,18 +12,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, Rat, as_rational, check_count, child_numerators, digit_numerators
-from .core import estar_digits, evaluate_digits, expand, shift_power
+from .core import DomainError, Rat, as_rational, check_count, check_prefix, child_numerators
+from .core import digit_numerators, estar_digits, evaluate_digits, expand, shift_power
 from .intervals import interval_length
-from .sequences import (
-    DEFAULT_DEPTH,
-    Enclosure,
-    PierceSeq,
-    _check_prefix,
-    _truncation_bracket,
-    as_sequence,
-    is_realizable,
-)
+from .sequences import DEFAULT_DEPTH, Enclosure, PierceSeq, _truncation_bracket, as_sequence
+from .sequences import is_realizable
 
 
 def estar(seq, depth: int = DEFAULT_DEPTH) -> Enclosure:
@@ -173,9 +166,9 @@ def cylinder_extrema(prefix) -> CylinderExtrema:
     digit product P and last digit d, at the prefix with d + 1 appended;
     which is which flips with the parity of the order.
     """
-    here = PierceSeq(prefix)
+    here = PierceSeq(prefix)  # PierceSeq runs check_prefix; one pass is enough
     if not here.prefix:
-        raise DomainError("cylinder extrema need a non-empty prefix")
+        raise DomainError("cylinder_extrema needs a non-empty prefix")
     return _cylinder_extrema(here, *digit_numerators(here.prefix))
 
 
@@ -193,9 +186,7 @@ def _cylinder_extrema(here: PierceSeq, prod, value_num, err_num) -> CylinderExtr
 
 def oscillation(prefix) -> Rat:
     """Oscillation of E over the fundamental interval: n * length."""
-    prefix = _check_prefix(prefix)
-    if not prefix:
-        raise DomainError("oscillation needs a non-empty prefix")
+    prefix = check_prefix(prefix, "oscillation")
     return len(prefix) * interval_length(prefix)
 
 

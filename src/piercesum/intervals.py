@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import DomainError, Rat, as_rational, check_count, child_numerators, digit_numerators
-from .core import expand
-from .sequences import _check_prefix, _realizable_digits
+from .core import DomainError, Rat, as_rational, check_count, check_prefix, child_numerators
+from .core import digit_numerators, expand
+from .sequences import _realizable_digits
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,7 @@ def fundamental_interval(prefix) -> FundInterval:
     [phi(sigma), phi(hat)).  Non-realizable prefixes lose the closed
     endpoint and the interval is open on both sides.
     """
-    prefix = _check_prefix(prefix)
-    if not prefix:
-        raise DomainError("fundamental intervals need a non-empty prefix")
+    prefix = check_prefix(prefix, "fundamental_interval")
     return _fundamental_interval(prefix, *digit_numerators(prefix))
 
 
@@ -75,9 +73,7 @@ def _fundamental_interval(prefix, prod, value_num, err_num) -> FundInterval:
 
 def interval_length(prefix) -> Rat:
     """Exact length 1/(sigma_1 ... sigma_{n-1} sigma_n (sigma_n + 1))."""
-    prefix = _check_prefix(prefix)
-    if not prefix:
-        raise DomainError("fundamental intervals need a non-empty prefix")
+    prefix = check_prefix(prefix, "interval_length")
     return Fraction(1, math.prod(prefix) * (prefix[-1] + 1))
 
 

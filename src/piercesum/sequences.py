@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .core import (
     INF,
@@ -20,7 +20,9 @@ from .core import (
     DigitStream,
     DomainError,
     Rat,
+    as_rational,
     check_count,
+    check_prefix,
     child_numerators,
     evaluate_digits,
 )
@@ -30,21 +32,28 @@ from .core import (
 #: while staying cheap.
 DEFAULT_DEPTH = 64
 
+_RATIONAL = (int, Fraction)  # the endpoint types of an Enclosure
+
 
 @dataclass(frozen=True)
 class Enclosure:
-    """Exact rational interval [lo, hi] certified to contain a real value."""
+    """Exact rational interval [lo, hi] certified to contain a real value.
+
+    Both endpoints are ints or Fractions; a float or a bool raises DomainError.
+    """
 
     lo: Rat
     hi: Rat
 
     def __post_init__(self):
+        if type(self.lo) not in _RATIONAL or type(self.hi) not in _RATIONAL:
+            raise DomainError(f"enclosure endpoints {self.lo!r}, {self.hi!r} are not rationals")
         if self.lo is not self.hi and self.lo > self.hi:
-            raise ValueError(f"enclosure endpoints out of order: {self.lo} > {self.hi}")
+            raise DomainError(f"enclosure endpoints out of order: {self.lo} > {self.hi}")
 
     @classmethod
     def exact(cls, value) -> "Enclosure":
-        value = value if type(value) is Fraction else Fraction(value)
+        value = as_rational(value)
         return cls(value, value)
 
     @property
@@ -93,11 +102,12 @@ class Enclosure:
 
     def reciprocal(self) -> "Enclosure":
         if self.lo <= 0:
-            raise ValueError("reciprocal needs a strictly positive enclosure")
+            raise DomainError("reciprocal needs a strictly positive enclosure")
         return Enclosure(1 / self.hi, 1 / self.lo)
 
     def round_outward(self, scale: int = 10**12) -> "Enclosure":
         """Widen to the enclosing multiples of 1/scale (tames huge denominators)."""
+        check_count(scale, 1, "scale")
         lo = Fraction(math.floor(self.lo * scale), scale)
         hi = Fraction(math.ceil(self.hi * scale), scale)
         return Enclosure(lo, hi)
@@ -123,20 +133,6 @@ def _frac_str(q: Rat) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _check_prefix(prefix: Sequence[int]) -> tuple[int, ...]:
-    prefix = tuple(prefix)
-    if len(prefix) > MAX_DEPTH:
-        raise DepthOverflowError(f"depth {len(prefix)} exceeds cap {MAX_DEPTH}")
-    last = 0
-    for d in prefix:
-        if type(d) is not int:
-            raise DomainError(f"prefix digit {d!r} is not an int")
-        if d <= last:
-            raise DomainError(f"prefix {prefix} is not strictly increasing from 1")
-        last = d
-    return prefix
-
-
 @dataclass(frozen=True)
 class PierceSeq:
     """A Pierce sequence: increasing finite prefix plus an optional tail stream.
@@ -152,7 +148,7 @@ class PierceSeq:
     tail: DigitStream | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", _check_prefix(self.prefix))
+        object.__setattr__(self, "prefix", check_prefix(self.prefix))
         if self.tail is not None and self.prefix and self.tail.digit(1) <= self.prefix[-1]:
             raise DomainError(
                 f"stream digit {self.tail.digit(1)} at position {len(self.prefix) + 1} "
@@ -262,27 +258,21 @@ def truncate(seq, n: int) -> PierceSeq:
 
 def hat(seq) -> PierceSeq:
     """Same finite sequence with its last digit incremented."""
-    seq = as_sequence(seq)
-    if not seq.is_finite or not seq.prefix:
-        raise DomainError("hat needs a finite non-empty sequence")
-    digits = seq.prefix
+    digits = check_prefix(as_sequence(seq).finite_digits(), "hat")
     return PierceSeq(digits[:-1] + (digits[-1] + 1,))
 
 
 def hat_prime(seq) -> PierceSeq:
     """Finite sequence with last+1 appended; non-realizable, same value as hat."""
-    seq = as_sequence(seq)
-    if not seq.is_finite or not seq.prefix:
-        raise DomainError("hat_prime needs a finite non-empty sequence")
-    digits = seq.prefix
+    digits = check_prefix(as_sequence(seq).finite_digits(), "hat_prime")
     return PierceSeq(digits + (digits[-1] + 1,))
 
 
 def rho(a, b) -> Rat:
     """Digit metric: 0 when equal, else 1/a + 1/b with 1/INF = 0."""
     for d in (a, b):
-        if d != INF and (type(d) is not int or d < 1):
-            raise DomainError(f"{d!r} is not a positive integer or INF")
+        if d != INF:
+            check_count(d, 1, "digit")
     if a == b:
         return Fraction(0)
     ra = Fraction(0) if a == INF else Fraction(1, a)

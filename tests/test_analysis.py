@@ -515,6 +515,13 @@ class TestLambdaCoverCounts:
         assert text.endswith(f"), total_bound={total_bound}, chain_holds=True)")
         assert text.count("Enclosure(") == n + 1 and "-bit int>" in text.split(", a=(")[1]
 
+    def test_repr_without_the_int_str_limit(self, monkeypatch):
+        # Python 3.10.0-3.10.6 have no get_int_max_str_digits and no limit
+        rep = lambda_cover_counts(9)
+        text = repr(rep)
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert repr(rep) == text
+
     def test_chain_certified_out_of_order_is_false(self, monkeypatch):
         # log k pinned to -(M + 3/2) makes each base 1/2, so a_2 > a_3 > ... certifiably
         monkeypatch.setattr(analysis, "log_enclosure", lambda x, terms: Enclosure.exact(F(-21, 2)))

@@ -1,4 +1,4 @@
-"""One rule for integer arguments: every count, order, depth, index, cap and grid.
+"""One rule for integer arguments: every count, order, depth, index, cap, grid, scale and budget.
 
 Each row names an entry point and the least value its integer argument
 takes.  A bool, a float, a Fraction and anything below the least raise
@@ -31,7 +31,7 @@ from piercesum import (
     truncate,
     variation_over_partition,
 )
-from piercesum.certify import exp_enclosure, iroot, log_enclosure, root_enclosure
+from piercesum.certify import exp_enclosure, iroot, log_enclosure, pow_enclosure, root_enclosure
 from piercesum.cli import _cmd_graph
 from piercesum.core import check_count
 
@@ -58,6 +58,8 @@ SITES = [
     pytest.param(lambda n: iroot(n, 2), 0, id="iroot.n"),
     pytest.param(lambda k: iroot(10, k), 1, id="iroot.k"),
     pytest.param(lambda k: root_enclosure(F(2), k), 1, id="root_enclosure"),
+    pytest.param(lambda scale: root_enclosure(F(2), 2, scale), 1, id="root_enclosure.scale"),
+    pytest.param(lambda scale: pow_enclosure(F(2), F(3, 2), scale), 1, id="pow_enclosure.scale"),
     pytest.param(lambda terms: exp_enclosure(1, terms), 2, id="exp_enclosure"),
     pytest.param(lambda terms: log_enclosure(3, terms), 2, id="log_enclosure"),
     pytest.param(lambda grid: integrate_esum(grid), 1, id="integrate_esum"),
@@ -69,7 +71,9 @@ SITES = [
     pytest.param(lambda p: count_bounded_products(p, 2), 1, id="count_products.p"),
     pytest.param(lambda m: count_bounded_products(10, m), 1, id="count_products.m"),
     pytest.param(lambda m: count_bounded_products(10, m, True), 1, id="count_products.m_inc"),
+    pytest.param(lambda b: count_bounded_products(1, 1, budget=b), 1, id="count_products.budget"),
     pytest.param(lambda n: factorial_bounds_check(n), 1, id="factorial_bounds_check"),
+    pytest.param(lambda s: Enclosure(F(1, 3), F(1, 2)).round_outward(s), 1, id="round_outward"),
     pytest.param(lambda n: _cmd_graph(Namespace(order=n, digit_cap=3)), 1, id="cli.graph.order"),
     pytest.param(lambda cap: _cmd_graph(Namespace(order=1, digit_cap=cap)), 1, id="cli.graph.cap"),
 ]

@@ -12,6 +12,7 @@ from piercesum import (
     fundamental_interval,
     interval_length,
     is_realizable,
+    jumps_at,
     locate,
     partition,
     phi,
@@ -151,3 +152,24 @@ def test_every_interval_contains_a_realizable_witness():
         witness = phi(prefix + (prefix[-1] + 2,)).lo
         assert expand(witness)[:2] == prefix
         assert iv.contains(witness)
+
+
+def test_endpoints_jump_away_from_closed_ends_and_towards_open_ends():
+    # E is continuous from inside I_sigma at a closed end, so it jumps on the
+    # far side there; at an open end the interval is the limit side that jumps
+    checked = 0
+    for n in range(1, 5):
+        for prefix in combinations(range(1, 15), n):
+            iv = fundamental_interval(prefix)
+            for e, closed, inside in (
+                (iv.left, iv.left_closed, "right"),
+                (iv.right, iv.right_closed, "left"),
+            ):
+                if not 0 < e < 1:
+                    continue
+                report = jumps_at(e)
+                outside = "left" if inside == "right" else "right"
+                assert report.side == (outside if closed else inside), (prefix, e)
+                assert report.jump_magnitude > 0, (prefix, e)
+                checked += 1
+    assert checked == 2939  # every endpoint but 1, the right end of I_(1)

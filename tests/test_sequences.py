@@ -246,8 +246,29 @@ enclosures = st.builds(
 
 class TestEnclosure:
     def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             Enclosure(F(1), F(0))
+        with pytest.raises(DomainError):
+            Enclosure(F(-1), F(1)).reciprocal()
+
+    def test_floats_and_bools_rejected(self):
+        # 0.1 used to come back as 3602879701896397/36028797018963968
+        enc = Enclosure(F(1, 3), F(1, 2))
+        for value in (0.1, 0.5, True, 2.5):
+            with pytest.raises(DomainError):
+                Enclosure.exact(value)
+            for combine in (enc.__add__, enc.__radd__, enc.__sub__, enc.__mul__, enc.__rmul__):
+                with pytest.raises(DomainError):
+                    combine(value)
+        for lo, hi in ((0.5, 1.0), (F(1, 2), 1.0), (False, True), (0, True)):
+            with pytest.raises(DomainError):
+                Enclosure(lo, hi)
+        assert Enclosure(0, F(1, 2)).hi == F(1, 2) and Enclosure.exact("1/3").lo == F(1, 3)
+        assert (enc + 1, 2 * enc, enc - F(1, 3)) == (
+            Enclosure(F(4, 3), F(3, 2)),
+            Enclosure(F(2, 3), F(1)),
+            Enclosure(F(0), F(1, 6)),
+        )
 
     def test_interval_arithmetic(self):
         a, b = Enclosure(F(1), F(2)), Enclosure(F(-3), F(5))
