@@ -20,7 +20,7 @@ from .core import MAX_DEPTH, DepthOverflowError, DomainError, Rat, ResourceLimit
 from .core import as_rational, check_count, child_numerators
 from .errorsum import _cylinder_extrema, esum
 from .intervals import FundInterval, _fundamental_interval, capped_masses
-from .sequences import Enclosure, PierceSeq, walk_prefixes
+from .sequences import Enclosure, walk_prefixes
 
 
 class DegenerateFitError(DomainError):
@@ -290,7 +290,7 @@ def ivt_root(a, b, y, width_tol) -> RootBracket:
             raise ResourceLimitError(f"ivt_root visited {IVT_MAX_NODES} nodes without a bracket")
         prefix, prod, value_num, err_num = node
         if prod * (prefix[-1] + 1) * tn > td:  # length 1/(prod (last+1)) < width_tol
-            ext = _cylinder_extrema(PierceSeq(prefix), prod, value_num, err_num)
+            ext = _cylinder_extrema(prefix, prod, value_num, err_num)
             return RootBracket(_fundamental_interval(*node), ext.minimum, ext.maximum, y)
     raise DepthOverflowError(f"no bracket narrower than {width_tol} found within depth {MAX_DEPTH}")
 

@@ -128,10 +128,11 @@ def jumps_at(x) -> JumpReport:
         raise DomainError("jump analysis is defined on rationals strictly inside (0, 1)")
     digits = expand(x)
     n, d = len(digits), digits[-1]
-    prod, _, err_num = digit_numerators(digits)
+    head = digit_numerators(digits[:-1])  # the n - 1 digits x shares with its twin
+    prod, _, err_num = child_numerators(n - 1, *head, d)
     den = prod * (d - 1)  # E(x) = err_num (d - 1)/den; the limit is 1/den lower (odd n) or higher
     limit_num = err_num * (d - 1) + (-1 if n % 2 else 1)
-    twin_prod, _, twin_err = digit_numerators(digits[:-1] + (d - 1, d))
+    twin_prod, _, twin_err = child_numerators(n, *child_numerators(n - 1, *head, d - 1), d)
     if twin_err * den != limit_num * twin_prod:
         raise AssertionError(f"jump formula and preimage error sum disagree at {x}")
     return JumpReport(
@@ -146,17 +147,32 @@ def jumps_at(x) -> JumpReport:
 
 @dataclass(frozen=True)
 class CylinderExtrema:
-    """Exact extrema of E* over all sequences extending a prefix."""
+    """Exact extrema of E* over all sequences extending a prefix.
+
+    argmax and argmin build their sequence when read, so of a MAX_DEPTH-digit
+    prefix only the one at the hat-prime raises DepthOverflowError.
+    """
 
     prefix: tuple[int, ...]
     maximum: Rat
     minimum: Rat
-    argmax: PierceSeq
-    argmin: PierceSeq
 
     @property
     def spread(self) -> Rat:
         return self.maximum - self.minimum
+
+    @property
+    def argmax(self) -> PierceSeq:
+        return self._extremum_at(len(self.prefix) % 2 == 1)
+
+    @property
+    def argmin(self) -> PierceSeq:
+        return self._extremum_at(len(self.prefix) % 2 == 0)
+
+    def _extremum_at(self, here: bool) -> PierceSeq:
+        if here:
+            return PierceSeq(self.prefix)
+        return PierceSeq(self.prefix + (self.prefix[-1] + 1,))  # hat_prime(prefix)
 
 
 def cylinder_extrema(prefix) -> CylinderExtrema:
@@ -166,22 +182,19 @@ def cylinder_extrema(prefix) -> CylinderExtrema:
     digit product P and last digit d, at the prefix with d + 1 appended;
     which is which flips with the parity of the order.
     """
-    here = PierceSeq(prefix)  # PierceSeq runs check_prefix; one pass is enough
-    if not here.prefix:
-        raise DomainError("cylinder_extrema needs a non-empty prefix")
-    return _cylinder_extrema(here, *digit_numerators(here.prefix))
+    prefix = check_prefix(prefix, "cylinder_extrema")
+    return _cylinder_extrema(prefix, *digit_numerators(prefix))
 
 
-def _cylinder_extrema(here: PierceSeq, prod, value_num, err_num) -> CylinderExtrema:
-    """cylinder_extrema of a finite non-empty sequence and its digit_numerators."""
-    n, d = len(here.prefix), here.prefix[-1]
-    there = PierceSeq(here.prefix + (d + 1,))  # hat_prime(here)
-    there_prod, _, there_err = child_numerators(n, prod, value_num, err_num, d + 1)
+def _cylinder_extrema(prefix: tuple[int, ...], prod, value_num, err_num) -> CylinderExtrema:
+    """cylinder_extrema of a checked non-empty prefix and its digit_numerators."""
+    n = len(prefix)
+    there_prod, _, there_err = child_numerators(n, prod, value_num, err_num, prefix[-1] + 1)
     at_prefix = Fraction(err_num, prod)
     at_there = Fraction(there_err, there_prod)
     if n % 2 == 1:
-        return CylinderExtrema(here.prefix, at_prefix, at_there, here, there)
-    return CylinderExtrema(here.prefix, at_there, at_prefix, there, here)
+        return CylinderExtrema(prefix, at_prefix, at_there)
+    return CylinderExtrema(prefix, at_there, at_prefix)
 
 
 def oscillation(prefix) -> Rat:

@@ -56,6 +56,11 @@ def test_the_cap_itself_is_accepted():
     assert truncate(AT_CAP, MAX_DEPTH).prefix == AT_CAP
     assert interval_length(AT_CAP) > 0
     assert phi(AT_CAP).is_exact
+    ext = cylinder_extrema(AT_CAP)  # even order: the maximum sits at the hat-prime
+    assert ext.minimum < ext.maximum
+    assert ext.argmin.prefix == AT_CAP
+    with pytest.raises(DepthOverflowError):
+        ext.argmax
 
 
 def test_stream_depths_past_the_cap_raise():

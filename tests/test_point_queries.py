@@ -34,7 +34,7 @@ from piercesum import (
 from piercesum.intervals import interval_length
 
 #: sha256 of ``_point_text()``, as computed on the Fraction routes of the oracles below.
-POINT_DIGEST = "caf195143f62908aa6706a6e3a588ebe81e4d07db0f4b032a8fd5865a26c699e"
+POINT_DIGEST = "cecc74a74de18221eab8772b33d1c0609c0e282baae2ba3cb26db4f71b887764"
 
 
 def _criterion_2_rationals(count):
@@ -105,8 +105,12 @@ def cylinder_extrema_oracle(prefix):
     here = PierceSeq(prefix)
     there = hat_prime(here)
     if n % 2 == 1:
-        return CylinderExtrema(prefix, at_prefix, at_prefix - spread, here, there)
-    return CylinderExtrema(prefix, at_prefix + spread, at_prefix, there, here)
+        ext = CylinderExtrema(prefix, at_prefix, at_prefix - spread)
+        assert (ext.argmax, ext.argmin) == (here, there)
+    else:
+        ext = CylinderExtrema(prefix, at_prefix + spread, at_prefix)
+        assert (ext.argmax, ext.argmin) == (there, here)
+    return ext
 
 
 def jumps_at_oracle(x):
@@ -134,6 +138,17 @@ non_realizable_prefixes = realizable_prefixes.map(lambda p: p + (p[-1] + 1,))
 prefixes = st.one_of(realizable_prefixes, non_realizable_prefixes)
 
 
+def _long_prefixes():
+    # past the 9 digits Hypothesis draws: orders 40, 41, 300 and 301, each
+    # realizable and not (last two digits consecutive)
+    out = []
+    for n in (40, 41, 300, 301):
+        spaced = tuple(range(2, 3 * n, 3))
+        out += [spaced, spaced[:-1] + (spaced[-2] + 1,)]
+        out += [(*range(1, n), n + 1), tuple(range(1, n + 1))]
+    return out
+
+
 def _same(fast, slow):
     # equal field by field, and the same types (repr tells Fraction from int)
     assert fast == slow and repr(fast) == repr(slow)
@@ -159,7 +174,8 @@ class TestAgainstFractionRoutes:
         _same(jumps_at(x), jumps_at_oracle(x))
 
     def test_short_prefixes_of_both_parities(self):
-        for prefix in [(1,), (2,), (7,), (1, 2), (1, 3), (2, 3), (2, 5), (1, 2, 3), (2, 4, 9)]:
+        short = [(1,), (2,), (7,), (1, 2), (1, 3), (2, 3), (2, 5), (1, 2, 3), (2, 4, 9)]
+        for prefix in short + _long_prefixes():
             _same(fundamental_interval(prefix), fundamental_interval_oracle(prefix))
             _same(cylinder_extrema(prefix), cylinder_extrema_oracle(prefix))
             x = evaluate_digits(prefix)
