@@ -23,6 +23,7 @@ from math import gcd, isfinite
 
 from . import analysis, core, errorsum
 from .core import DomainError, ResourceLimitError, as_rational, check_count, constant_stream, expand
+from .intervals import check_interval_budget
 from .sequences import DEFAULT_DEPTH, Enclosure, PierceSeq
 
 SCHEMA_VERSION = 1
@@ -133,7 +134,11 @@ def _cmd_graph(args):
     # fails before any output is opened
     check_count(args.order, 1, "order")
     check_count(args.digit_cap, 1, "digit cap")
-    rows = _graph_rows(args.order, args.digit_cap)
+    # no interval has more digits than the cap, so the orders past it emit nothing
+    order_max = min(args.order, args.digit_cap)
+    what = f"graph --order {args.order} --digit-cap {args.digit_cap}"
+    check_interval_budget(range(1, order_max + 1), args.digit_cap, what)
+    rows = _graph_rows(order_max, args.digit_cap)
     return {"order_max": args.order, "digit_cap": args.digit_cap, "rows": rows}, EXIT_OK
 
 

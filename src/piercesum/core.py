@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -23,6 +24,10 @@ INF = math.inf
 #: expansions are always finite, but their length is only bounded by the
 #: numerator; fail loudly instead of looping on absurd inputs.
 MAX_DEPTH = 10_000
+
+#: Results kept by the expand and digit_numerators memos.  A query on a point
+#: takes one expansion and two folds: its digits, and all but the last.
+_MEMO_SIZE = 8
 
 
 class DomainError(ValueError):
@@ -140,10 +145,17 @@ def expand(x) -> tuple[int, ...]:
 
     The digits are strictly increasing, satisfy d_k >= k, and when the
     expansion has length >= 2 its last two digits are never consecutive.
+    Its last _MEMO_SIZE results are kept, so a point asked several ways is
+    expanded once.
     """
     x = _check_unit(as_rational(x))
+    # plain ints: an int-like numerator type must not reach other callers' results
+    return _expand(int(x.numerator), int(x.denominator))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _expand(p: int, q: int) -> tuple[int, ...]:
     digits = []
-    p, q = x.numerator, x.denominator
     while p:
         if len(digits) >= MAX_DEPTH:
             raise DepthOverflowError(f"expansion exceeds {MAX_DEPTH} digits")
@@ -168,15 +180,26 @@ def child_numerators(k, prod, value_num, err_num, d) -> tuple[int, int, int]:
 def digit_numerators(digits) -> tuple[int, int, int]:
     """The digit product and the phi and E* numerators over it, as a triple.
 
-    The fold of child_numerators, inlined: a call per digit made it about
-    1.7 times slower on 10.7-digit tuples.
+    Its last _MEMO_SIZE results are kept, keyed on the digits as a tuple, so
+    a point asked several ways is folded once.  The digits must be ints: the
+    fold refuses a float, Fraction or numpy digit with DomainError, so only
+    ints enter the memo (an equal tuple of other digits may read their entry).
     """
+    return _fold(tuple(digits))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _fold(digits: tuple[int, ...]) -> tuple[int, int, int]:
+    # the fold of child_numerators, inlined: a call per digit made it about
+    # 1.7 times slower on 10.7-digit tuples
     prod, value_num, err_num, step = 1, 0, 0, 1
     for k, d in enumerate(digits):
         prod *= d
         value_num = value_num * d + step
         err_num = err_num * d + step * k
         step = -step
+    if type(prod) is not int:
+        raise DomainError(f"digits must be ints, got a {type(prod).__name__} product")
     return prod, value_num, err_num
 
 

@@ -13,9 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import DomainError, Rat, as_rational, check_count, check_prefix, child_numerators
-from .core import digit_numerators, expand
+from .core import DomainError, Rat, ResourceLimitError, as_rational, check_count, check_prefix
+from .core import child_numerators, digit_numerators, expand
 from .sequences import _realizable_digits
+
+#: Most fundamental intervals one digit-capped enumeration (partition, CLI
+#: graph) may build or emit; each holds about 0.4 kB.
+MAX_INTERVALS = 2**18
 
 
 @dataclass(frozen=True)
@@ -115,14 +119,33 @@ def capped_masses(n: int, digit_cap: int) -> tuple[Rat, Rat]:
     return covered, sum(e) / (digit_cap + 1)
 
 
+def check_interval_budget(orders, digit_cap: int, what: str) -> None:
+    """ResourceLimitError if there are more than MAX_INTERVALS intervals of the orders given.
+
+    Counted are the intervals with digits <= digit_cap, C(digit_cap, n) of
+    order n.  C(cap, k) >= 2^k for k <= cap/2, so a k = min(n, cap - n) past
+    the budget's bit length is over it uncounted.
+    """
+    total = 0
+    for n in orders:
+        if min(n, digit_cap - n) > MAX_INTERVALS.bit_length():
+            total = MAX_INTERVALS + 1
+        else:
+            total += math.comb(digit_cap, n)
+        if total > MAX_INTERVALS:
+            raise ResourceLimitError(f"{what} exceeds MAX_INTERVALS = {MAX_INTERVALS} intervals")
+
+
 def partition(n: int, digit_cap: int) -> Partition:
     """Order-n fundamental intervals with all digits <= digit_cap.
 
     Intervals come out in lexicographic prefix order and are mutually
     disjoint; the exact residual says how much of [0, 1] the cap leaves out.
+    More than MAX_INTERVALS intervals raise ResourceLimitError before any work.
     """
     check_count(n, 1, "partition order")
     check_count(digit_cap, 1, "digit cap")
+    check_interval_budget((n,), digit_cap, f"partition({n}, {digit_cap})")
     intervals = tuple(fundamental_interval(p) for p in combinations(range(1, digit_cap + 1), n))
     return Partition(n, digit_cap, intervals, capped_masses(n, digit_cap)[1])
 

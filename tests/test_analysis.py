@@ -18,7 +18,6 @@ from piercesum import (
     DepthOverflowError,
     DomainError,
     Enclosure,
-    FundInterval,
     ResourceLimitError,
     RootBracket,
     box_count_empirical,
@@ -28,10 +27,7 @@ from piercesum import (
     dimension_slope,
     estar_digits,
     esum,
-    evaluate_digits,
     factorial_bounds_check,
-    hat,
-    hat_prime,
     hausdorff_cover_sum,
     integrate_esum,
     ivt_root,
@@ -41,6 +37,8 @@ from piercesum import (
 from piercesum import analysis, certify
 from piercesum.analysis import INTEGRAL_MAX_GRID, INTEGRAL_SCALE, _grid_total
 from piercesum.certify import exp_enclosure, iroot, root_enclosure
+
+from oracles import cylinder_extrema_oracle, fundamental_interval_oracle
 
 
 def _esum_floor_scaled(p: int, q: int, scale: int) -> int:
@@ -200,23 +198,6 @@ class TestVariation:
         assert rep.total > candidate
 
 
-def _interval_oracle(prefix):
-    # definitional fundamental interval: phi of the prefix and of its hat,
-    # the phi(prefix) end closed unless the last two digits are consecutive
-    n = len(prefix)
-    value, hat_value = evaluate_digits(prefix), evaluate_digits(hat(prefix).prefix)
-    closed = n < 2 or prefix[-2] + 1 < prefix[-1]
-    if n % 2 == 1:
-        return FundInterval(prefix, n, hat_value, value, False, closed)
-    return FundInterval(prefix, n, value, hat_value, closed, False)
-
-
-def _extrema_oracle(prefix):
-    # E* over a cylinder ranges between its values at the prefix and at hat_prime
-    ends = estar_digits(prefix), estar_digits(hat_prime(prefix).prefix)
-    return min(ends), max(ends)
-
-
 def _qualifying_children_oracle(prefix, y):
     # the candidate window of analysis._qualifying_children, each candidate
     # checked against its own E* range
@@ -239,8 +220,8 @@ def _qualifying_children_oracle(prefix, y):
         candidates = sorted(set(range(first, min(2, k_hi) + 1)) | set(range(high_start, k_hi + 1)))
     out = []
     for k in candidates:
-        lo, hi = _extrema_oracle(prefix + (k,))
-        if lo <= y <= hi:
+        ext = cylinder_extrema_oracle(prefix + (k,))
+        if ext.minimum <= y <= ext.maximum:
             out.append(prefix + (k,))
     return out
 
@@ -252,13 +233,14 @@ def ivt_root_oracle(a, b, y, width_tol, depth_cap=MAX_DEPTH):
         return iv.right > a and iv.left < b
 
     def refine(prefix, depth):
-        iv = _interval_oracle(prefix)
+        iv = fundamental_interval_oracle(prefix)
         if iv.length < width_tol:
-            return RootBracket(iv, *_extrema_oracle(prefix), y)
+            ext = cylinder_extrema_oracle(prefix)
+            return RootBracket(iv, ext.minimum, ext.maximum, y)
         if depth >= depth_cap:
             return None
         ordered = sorted(
-            ((_interval_oracle(c), c) for c in _qualifying_children_oracle(prefix, y)),
+            ((fundamental_interval_oracle(c), c) for c in _qualifying_children_oracle(prefix, y)),
             key=lambda pair: pair[0].left,
         )
         for child_iv, child in ordered:
@@ -275,7 +257,7 @@ def ivt_root_oracle(a, b, y, width_tol, depth_cap=MAX_DEPTH):
         if y < F(-1, k * (k + 1)):
             continue
         prefix = (k,)
-        if not intersects(_interval_oracle(prefix)):
+        if not intersects(fundamental_interval_oracle(prefix)):
             continue
         found = refine(prefix, 1)
         if found is not None:

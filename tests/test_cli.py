@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from piercesum import analysis
+from piercesum import analysis, cli
 from piercesum.cli import main
 
 
@@ -98,6 +98,21 @@ class TestGraph:
     def test_bad_cap(self, capsys):
         code, _, err = run(capsys, "graph", "--order", "1", "--digit-cap", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("order,cap", [("30", "200"), ("20", "20"), ("1000000000", "1000000000")])
+    def test_over_budget_exits_3_before_any_row(self, order, cap, capsys, monkeypatch):
+        def refuse(order_max, digit_cap):
+            raise AssertionError("graph started above MAX_INTERVALS")
+
+        monkeypatch.setattr(cli, "_graph_rows", refuse)
+        code, out, err = run(capsys, "graph", "--order", order, "--digit-cap", cap)
+        assert code == 3 and out == "" and "resource limit" in err and "MAX_INTERVALS" in err
+
+    def test_orders_past_the_cap_add_no_rows(self, capsys):
+        # no interval has more digits than the cap: order 10^9 at cap 3 is order 3
+        _, small, _ = run_json(capsys, "graph", "--order", "3", "--digit-cap", "3")
+        code, huge, _ = run_json(capsys, "graph", "--order", "1000000000", "--digit-cap", "3")
+        assert code == 0 and huge["rows"] == small["rows"] and huge["order_max"] == 10**9
 
 
 class TestIntegral:

@@ -20,6 +20,10 @@ from piercesum import (
     shift,
     shift_power,
 )
+from piercesum import core
+from piercesum.core import digit_numerators
+
+from oracles import criterion_2_rationals, expand_oracle, numerators_oracle
 
 # random rationals in [0, 1]
 unit_rationals = st.builds(
@@ -57,6 +61,69 @@ class TestAsRational:
         for fn in (expand, shift, digit1):
             with pytest.raises(DomainError):
                 fn(bad)
+
+
+class TestKernelMemos:
+    """expand and digit_numerators keep a few results; they must equal the memo-free oracles."""
+
+    def _check(self, x):
+        digits = expand(x)
+        assert digits == expand_oracle(x)
+        for ds in (digits, digits[:-1]):  # the two folds of a forward query
+            assert digit_numerators(ds) == numerators_oracle(ds)
+        return digits
+
+    def test_hits_and_evictions_match_the_oracles(self):
+        xs = criterion_2_rationals(40)
+        for x in xs:  # each x twice in a row: the second call is a hit
+            self._check(x)
+            hits = core._expand.cache_info().hits, core._fold.cache_info().hits
+            self._check(x)
+            assert core._expand.cache_info().hits == hits[0] + 1
+            assert core._fold.cache_info().hits == hits[1] + 2
+        for x in xs:  # 39 other points since each was last asked: evicted
+            self._check(x)
+
+    def test_tuple_list_and_generator_give_the_same_triple(self):
+        for x in criterion_2_rationals(20):
+            digits = expand(x)
+            triple = numerators_oracle(digits)
+            assert digit_numerators(digits) == triple
+            assert digit_numerators(list(digits)) == triple
+            assert digit_numerators(d for d in digits) == triple
+
+    def test_fraction_string_and_int_inputs_expand_alike(self):
+        for x in criterion_2_rationals(20) + [F(0), F(1)]:
+            want = expand_oracle(x)
+            assert expand(x) == expand(f"{x.numerator}/{x.denominator}") == want
+            if x.denominator == 1:
+                assert expand(x.numerator) == want
+
+    def test_other_digit_types_never_enter_the_memo(self):
+        # a float or Fraction twin of an int tuple is refused, every time, and
+        # leaves nothing that the int tuple could read back
+        core._fold.cache_clear()
+        for twin in [(3.0, 7.0, 12.0), (F(3), F(7), F(12)), (3, 7, INF)]:
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    digit_numerators(twin)
+        triple = digit_numerators((3, 7, 12))
+        assert triple == numerators_oracle((3, 7, 12)) and {type(v) for v in triple} == {int}
+
+    def test_expand_hands_out_plain_ints(self):
+        # numpy keeps its own integer type in a Fraction; the memo must not
+        # pass it on to a later caller with plain ints
+        np = pytest.importorskip("numpy")
+        core._expand.cache_clear()
+        assert {type(d) for d in expand(F(np.int64(3), np.int64(8)))} == {int}
+        assert {type(d) for d in expand(F(3, 8))} == {int}
+
+    def test_memos_stay_within_their_size(self):
+        for x in criterion_2_rationals(100):
+            digit_numerators(expand(x))
+        for memo in (core._expand, core._fold):
+            info = memo.cache_info()
+            assert info.currsize <= info.maxsize
 
 
 class TestDigit1:
@@ -121,9 +188,11 @@ class TestExpand:
     def test_depth_cap(self):
         # a realizable digit tuple one longer than the cap: the expansion of
         # its value has MAX_DEPTH + 1 digits
+        # twice in a row: the memo under expand must not keep a failed call
         x = evaluate_digits((*range(1, MAX_DEPTH + 1), MAX_DEPTH + 2))
-        with pytest.raises(DepthOverflowError):
-            expand(x)
+        for _ in range(2):
+            with pytest.raises(DepthOverflowError):
+                expand(x)
 
     @given(unit_rationals)
     @settings(max_examples=300)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from piercesum import (
     DomainError,
+    ResourceLimitError,
     expand,
     fundamental_interval,
     interval_length,
@@ -17,6 +18,8 @@ from piercesum import (
     partition,
     phi,
 )
+from piercesum import intervals
+from piercesum.intervals import MAX_INTERVALS, check_interval_budget
 
 unit_rationals = st.builds(
     lambda p, q: F(min(p, q), max(p, q, 1)),
@@ -108,6 +111,29 @@ class TestPartition:
     def test_cap_smaller_than_order(self):
         part = partition(2, 1)
         assert part.intervals == () and part.residual == 1
+
+    @pytest.mark.parametrize("n,cap", [(30, 200), (2, 725), (10**6, 10**9), (10**9, 10**18)])
+    def test_budget_refuses_before_any_work(self, n, cap, monkeypatch):
+        def refuse(prefix):
+            raise AssertionError("partition started above MAX_INTERVALS")
+
+        monkeypatch.setattr(intervals, "fundamental_interval", refuse)
+        with pytest.raises(ResourceLimitError, match="MAX_INTERVALS"):
+            partition(n, cap)
+
+    def test_budget_edge(self):
+        # C(724, 2) = 261726 and C(cap, 1) = cap fit in 2^18; C(725, 2) = 262450
+        # does not, nor C(50, 25), which the 2^k bound refuses uncounted
+        assert MAX_INTERVALS == 2**18
+        for n, cap in [(2, 724), (1, MAX_INTERVALS), (30, 29)]:
+            check_interval_budget((n,), cap, "edge")
+        for n, cap in [(2, 725), (1, MAX_INTERVALS + 1), (25, 50)]:
+            with pytest.raises(ResourceLimitError):
+                check_interval_budget((n,), cap, "edge")
+        # orders add up: 18 + 153 + ... + C(18, 18) = 2^18 - 1, one more order is over
+        check_interval_budget(range(1, 19), 18, "edge")
+        with pytest.raises(ResourceLimitError):
+            check_interval_budget(range(1, 20), 19, "edge")
 
 
 class TestLocate:

@@ -1,9 +1,10 @@
 """Point queries: a bit-for-bit pin and differential tests of the integer paths.
 
 ``jumps_at``, ``cylinder_extrema`` and ``fundamental_interval`` run on the
-integer numerators of ``core.digit_numerators``.  The oracles below take the
+integer numerators of ``core.digit_numerators``.  Their oracles take the
 ``Fraction`` route instead: ``evaluate_digits`` / ``estar_digits`` of each
 digit tuple involved, combined with ``interval_length`` in ``Fraction``s.
+``jumps_at_oracle`` is below; the other two are in ``oracles.py``.
 """
 
 import hashlib
@@ -15,36 +16,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from piercesum import (
-    CylinderExtrema,
-    FundInterval,
     JumpReport,
-    PierceSeq,
     cylinder_extrema,
     esum,
     estar_digits,
     evaluate_digits,
     expand,
     fundamental_interval,
-    hat_prime,
-    is_realizable,
     ivt_root,
     jumps_at,
     phi,
 )
-from piercesum.intervals import interval_length
 
-#: sha256 of ``_point_text()``, as computed on the Fraction routes of the oracles below.
+from oracles import criterion_2_rationals, cylinder_extrema_oracle, fundamental_interval_oracle
+
+#: sha256 of ``_point_text()``, as computed on the Fraction routes of the point-query oracles.
 POINT_DIGEST = "cecc74a74de18221eab8772b33d1c0609c0e282baae2ba3cb26db4f71b887764"
-
-
-def _criterion_2_rationals(count):
-    # the first draws of acceptance criterion 2 (seed 20260809, den <= 10^6)
-    rng = random.Random(20260809)
-    out = []
-    for _ in range(count):
-        q = rng.randint(1, 10**6)
-        out.append(F(rng.randint(0, q), q))
-    return out
 
 
 def _criterion_10_triples(count):
@@ -67,7 +54,7 @@ def _criterion_10_triples(count):
 
 def _point_text():
     lines = []
-    for x in _criterion_2_rationals(2000):
+    for x in criterion_2_rationals(2000):
         digits = expand(x)
         fields = [x, digits, phi(digits), esum(x)]
         if 0 < x < 1:
@@ -86,31 +73,6 @@ def test_point_queries_match_their_pinned_digest():
 
 
 # The routes the integer versions replaced, kept as their slow oracles.
-
-
-def fundamental_interval_oracle(prefix):
-    n = len(prefix)
-    value = evaluate_digits(prefix)
-    hat_value = evaluate_digits(prefix[:-1] + (prefix[-1] + 1,))
-    closed = is_realizable(prefix)
-    if n % 2 == 1:
-        return FundInterval(prefix, n, hat_value, value, False, closed)
-    return FundInterval(prefix, n, value, hat_value, closed, False)
-
-
-def cylinder_extrema_oracle(prefix):
-    n = len(prefix)
-    at_prefix = estar_digits(prefix)
-    spread = n * interval_length(prefix)
-    here = PierceSeq(prefix)
-    there = hat_prime(here)
-    if n % 2 == 1:
-        ext = CylinderExtrema(prefix, at_prefix, at_prefix - spread)
-        assert (ext.argmax, ext.argmin) == (here, there)
-    else:
-        ext = CylinderExtrema(prefix, at_prefix + spread, at_prefix)
-        assert (ext.argmax, ext.argmin) == (there, here)
-    return ext
 
 
 def jumps_at_oracle(x):
