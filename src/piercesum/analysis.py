@@ -19,7 +19,7 @@ from .certify import exp_enclosure, iroot, log_enclosure, pow_enclosure, refine
 from .core import MAX_DEPTH, DepthOverflowError, DomainError, Rat, ResourceLimitError
 from .core import as_rational, check_count, child_numerators
 from .errorsum import _cylinder_extrema, esum
-from .intervals import FundInterval, _fundamental_interval, capped_masses
+from .intervals import FundInterval, _fundamental_interval, capped_masses, side
 from .sequences import Enclosure, walk_prefixes
 
 
@@ -205,9 +205,9 @@ def _qualifying_children(prefix, prod, err_num, y):
 
     ``err_num`` is the prefix's E* numerator over its digit product P =
     ``prod``; delta > 0 is how far y lies from that E* value on the side
-    the children reach.  The child ranges are explicit in k: for odd order
-    they span [E - n/(Pk), E - n/(Pk) + (n+1)/(Pk(k+1))], mirrored for even
-    order.  Bracketing y therefore needs k <= n/(P delta) together with the
+    the children reach, ``side(n)``.  The child ranges are explicit in k: on
+    side -1 they span [E - n/(Pk), E - n/(Pk) + (n+1)/(Pk(k+1))], on side +1
+    their mirror image.  Bracketing y therefore needs k <= n/(P delta) with the
     quadratic (P delta)k^2 + (P delta - n)k + 1 >= 0, which holds outside
     its root interval.  In units of y's denominator q, pd = P delta q is an
     integer, k <= nq/pd and pd k^2 + (pd - nq)k + q >= 0; rearranged,
@@ -227,7 +227,7 @@ def _qualifying_children(prefix, prod, err_num, y):
     """
     n = len(prefix)
     yn, yd = y.numerator, y.denominator
-    pd = (err_num * yd - prod * yn) if n % 2 == 1 else (prod * yn - err_num * yd)
+    pd = side(n) * (prod * yn - err_num * yd)
     if pd <= 0:
         return []
     nq = n * yd
@@ -274,13 +274,11 @@ def ivt_root(a, b, y, width_tol) -> RootBracket:
             return range(k_top, k_min - 1, -1)
         if n >= MAX_DEPTH:
             return ()
-        # in units of 1/prod about phi(prefix), mirrored for odd n, child k's cylinder
-        # spans [1/(k+1), 1/k]; it meets (a, b), moved likewise to (lo/D, hi/D), iff
-        # k lo < D < (k+1) hi.  phi(child k) rises with k for odd n; leftmost first
-        lo, hi = an * prod - value_num * D, bn * prod - value_num * D
-        if n % 2:
-            lo, hi = -hi, -lo
-        ks = _qualifying_children(prefix, prod, err_num, y)[:: 1 if n % 2 else -1]
+        # in units of s/prod about phi(prefix), s = side(n), child k spans [1/(k+1), 1/k]
+        # and meets (a, b), there (lo/D, hi/D), iff k lo < D < (k+1) hi; leftmost first
+        s, v = side(n), value_num * D
+        lo, hi = (an * prod - v, bn * prod - v) if s > 0 else (v - bn * prod, v - an * prod)
+        ks = _qualifying_children(prefix, prod, err_num, y)[::-s]
         return [k for k in ks if k * lo < D < (k + 1) * hi]
 
     nodes = walk_prefixes(children)

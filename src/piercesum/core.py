@@ -235,8 +235,7 @@ class DigitStream:
         return self.a * check_count(n, 1, "digit position") + self.b
 
     def digits(self, count: int) -> Iterator[int]:
-        for n in range(1, count + 1):
-            yield self.a * n + self.b
+        return (self.a * n + self.b for n in range(1, check_count(count, 0, "digit count") + 1))
 
 
 #: Named digit streams for constants whose Pierce digits are known in

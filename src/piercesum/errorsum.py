@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .core import DomainError, Rat, as_rational, check_count, check_prefix, child_numerators
 from .core import digit_numerators, estar_digits, evaluate_digits, expand, shift_power
-from .intervals import interval_length
+from .intervals import interval_length, node_span, side
 from .sequences import DEFAULT_DEPTH, Enclosure, PierceSeq, _truncation_bracket, as_sequence
 from .sequences import is_realizable
 
@@ -130,15 +130,15 @@ def jumps_at(x) -> JumpReport:
     n, d = len(digits), digits[-1]
     head = digit_numerators(digits[:-1])  # the n - 1 digits x shares with its twin
     prod, _, err_num = child_numerators(n - 1, *head, d)
-    den = prod * (d - 1)  # E(x) = err_num (d - 1)/den; the limit is 1/den lower (odd n) or higher
-    limit_num = err_num * (d - 1) + (-1 if n % 2 else 1)
+    den, s = prod * (d - 1), side(n)  # E(x) = err_num (d - 1)/den, the limit 1/den away on s
+    limit_num = err_num * (d - 1) + s
     twin_prod, _, twin_err = child_numerators(n, *child_numerators(n - 1, *head, d - 1), d)
     if twin_err * den != limit_num * twin_prod:
         raise AssertionError(f"jump formula and preimage error sum disagree at {x}")
     return JumpReport(
         x=x,
-        side="right" if n % 2 else "left",
-        parity="odd" if n % 2 else "even",
+        side="left" if s > 0 else "right",
+        parity="even" if s > 0 else "odd",
         interior_value=Fraction(err_num, prod),
         limit_value=Fraction(limit_num, den),
         jump_magnitude=Fraction(1, den),
@@ -163,16 +163,15 @@ class CylinderExtrema:
 
     @property
     def argmax(self) -> PierceSeq:
-        return self._extremum_at(len(self.prefix) % 2 == 1)
+        return self._extremum(-1)
 
     @property
     def argmin(self) -> PierceSeq:
-        return self._extremum_at(len(self.prefix) % 2 == 0)
+        return self._extremum(1)
 
-    def _extremum_at(self, here: bool) -> PierceSeq:
-        if here:
-            return PierceSeq(self.prefix)
-        return PierceSeq(self.prefix + (self.prefix[-1] + 1,))  # hat_prime(prefix)
+    def _extremum(self, at_prefix_side: int) -> PierceSeq:
+        p = self.prefix  # the extremum is at p if p's children lie on that side, else hat_prime(p)
+        return PierceSeq(p if side(len(p)) == at_prefix_side else p + (p[-1] + 1,))
 
 
 def cylinder_extrema(prefix) -> CylinderExtrema:
@@ -180,7 +179,7 @@ def cylinder_extrema(prefix) -> CylinderExtrema:
 
     One extremum sits at the prefix itself, the other, n/(P (d+1)) away for
     digit product P and last digit d, at the prefix with d + 1 appended;
-    which is which flips with the parity of the order.
+    ``intervals.side`` says which is which.
     """
     prefix = check_prefix(prefix, "cylinder_extrema")
     return _cylinder_extrema(prefix, *digit_numerators(prefix))
@@ -190,11 +189,8 @@ def _cylinder_extrema(prefix: tuple[int, ...], prod, value_num, err_num) -> Cyli
     """cylinder_extrema of a checked non-empty prefix and its digit_numerators."""
     n = len(prefix)
     there_prod, _, there_err = child_numerators(n, prod, value_num, err_num, prefix[-1] + 1)
-    at_prefix = Fraction(err_num, prod)
-    at_there = Fraction(there_err, there_prod)
-    if n % 2 == 1:
-        return CylinderExtrema(prefix, at_prefix, at_there)
-    return CylinderExtrema(prefix, at_there, at_prefix)
+    low, high, _, _ = node_span(n, Fraction(err_num, prod), Fraction(there_err, there_prod), True)
+    return CylinderExtrema(prefix, high, low)
 
 
 def oscillation(prefix) -> Rat:

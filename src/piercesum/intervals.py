@@ -3,7 +3,7 @@
 The set of points whose first n digits match a given prefix is an
 interval; which endpoints it contains depends on the parity of n and on
 whether the prefix is realizable.  Getting those flags wrong is easy and
-silent, so they are computed once here and carried explicitly.
+silent, so ``side`` decides the parity once here, for every module.
 """
 
 from __future__ import annotations
@@ -53,6 +53,16 @@ class FundInterval:
         return f"{lb}{self.left}, {self.right}{rb}"
 
 
+def side(n: int) -> int:
+    """(-1)^n, digit n + 1's sign in child_numerators: the side an order-n node's children take."""
+    return -1 if n % 2 else 1
+
+
+def node_span(n: int, here, there, here_closed: bool):
+    """(left, right, left_closed, right_closed) of a node's value and there, its open far end."""
+    return (here, there, here_closed, False) if side(n) > 0 else (there, here, False, here_closed)
+
+
 def fundamental_interval(prefix) -> FundInterval:
     """The order-n interval for a digit prefix, endpoints exact.
 
@@ -67,12 +77,9 @@ def fundamental_interval(prefix) -> FundInterval:
 def _fundamental_interval(prefix, prod, value_num, err_num) -> FundInterval:
     """fundamental_interval from a node; phi(hat) is phi of the prefix with last + 1 appended."""
     n = len(prefix)
-    value = Fraction(value_num, prod)
     hat_prod, hat_num, _ = child_numerators(n, prod, value_num, err_num, prefix[-1] + 1)
-    hat_value = Fraction(hat_num, hat_prod)
-    if n % 2 == 1:
-        return FundInterval(prefix, n, hat_value, value, False, _realizable_digits(prefix))
-    return FundInterval(prefix, n, value, hat_value, _realizable_digits(prefix), False)
+    here, there = Fraction(value_num, prod), Fraction(hat_num, hat_prod)
+    return FundInterval(prefix, n, *node_span(n, here, there, _realizable_digits(prefix)))
 
 
 def interval_length(prefix) -> Rat:

@@ -4,13 +4,18 @@ Each oracle takes the definitional route to a value that the library
 computes a faster way: the digit kernels without their memos, and the
 point queries in ``Fraction`` arithmetic instead of integer numerators.
 ``criterion_2_rationals`` draws the points they are most often run on.
+
+The point-query oracles write the parity flip of the geometry out as
+``n % 2`` themselves and do not import ``intervals.side``, the library's
+one rule for it, so that they stay a route independent of that rule.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
-from piercesum import CylinderExtrema, FundInterval, PierceSeq, estar_digits, evaluate_digits
-from piercesum import hat_prime
+from piercesum import CylinderExtrema, FundInterval, JumpReport, PierceSeq, estar_digits
+from piercesum import evaluate_digits, expand, hat_prime
 from piercesum.core import child_numerators
 from piercesum.intervals import interval_length
 
@@ -71,3 +76,20 @@ def cylinder_extrema_oracle(prefix):
         ext = CylinderExtrema(prefix, at_prefix + spread, at_prefix)
         assert (ext.argmax, ext.argmin, ext.maximum) == (there, here, at_hat_prime)
     return ext
+
+
+def jumps_at_oracle(x):
+    digits = expand(x)
+    n = len(digits)
+    magnitude = F(1, math.prod(digits[:-1]) * (digits[-1] - 1) * digits[-1])
+    interior = estar_digits(digits)
+    limit = interior - magnitude if n % 2 == 1 else interior + magnitude
+    assert estar_digits(digits[:-1] + (digits[-1] - 1, digits[-1])) == limit
+    return JumpReport(
+        x=x,
+        side="right" if n % 2 == 1 else "left",
+        parity="odd" if n % 2 else "even",
+        interior_value=interior,
+        limit_value=limit,
+        jump_magnitude=magnitude,
+    )

@@ -44,6 +44,7 @@ SITES = [
     pytest.param(lambda a: DigitStream(a), 1, id="DigitStream.a"),
     pytest.param(lambda b: DigitStream(1, b), 0, id="DigitStream.b"),
     pytest.param(lambda n: STREAM.digit(n), 1, id="DigitStream.digit"),
+    pytest.param(lambda count: STREAM.digits(count), 0, id="DigitStream.digits"),
     pytest.param(lambda depth: PierceSeq((1, 3)).digits(depth), 0, id="PierceSeq.digits"),
     pytest.param(lambda n: PierceSeq((1, 3)).digit_at(n), 1, id="PierceSeq.digit_at"),
     pytest.param(lambda depth: phi(STREAM, depth), 1, id="phi"),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piercesum import (
+    MAX_DEPTH,
     DomainError,
     ResourceLimitError,
     expand,
@@ -19,6 +20,7 @@ from piercesum import (
     phi,
 )
 from piercesum import intervals
+from piercesum.core import child_numerators, digit_numerators
 from piercesum.intervals import MAX_INTERVALS, check_interval_budget
 
 unit_rationals = st.builds(
@@ -61,6 +63,20 @@ class TestFundamentalInterval:
         # the prefix's own value is in the interval iff realizable
         assert iv.contains(phi(prefix).lo) == is_realizable(prefix)
         assert (iv.left_closed or iv.right_closed) == is_realizable(prefix)
+
+
+@pytest.mark.parametrize("n", [*range(65), MAX_DEPTH - 1, MAX_DEPTH])
+def test_side_is_the_sign_the_kernels_give_digit_n_plus_1(n):
+    # the geometry's one parity rule against the inline signs of the two L0 kernels
+    s = intervals.side(n)
+    assert s in (1, -1)
+    _, value_step, err_step = child_numerators(n, 1, 0, 0, 1)
+    assert value_step == s
+    assert err_step == s * n  # the sign of s for n >= 1; the root's E* step is 0
+    prefix = tuple(range(1, n + 1))
+    _, value_num, err_num = digit_numerators(prefix)
+    _, child_value, child_err = digit_numerators(prefix + (n + 1,))
+    assert (child_value - value_num * (n + 1), child_err - err_num * (n + 1)) == (s, s * n)
 
 
 class TestIntervalLength:

@@ -4,22 +4,21 @@
 integer numerators of ``core.digit_numerators``.  Their oracles take the
 ``Fraction`` route instead: ``evaluate_digits`` / ``estar_digits`` of each
 digit tuple involved, combined with ``interval_length`` in ``Fraction``s.
-``jumps_at_oracle`` is below; the other two are in ``oracles.py``.
+All three oracles are in ``oracles.py``.
 """
 
+import ast
 import hashlib
-import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from piercesum import (
-    JumpReport,
     cylinder_extrema,
     esum,
-    estar_digits,
     evaluate_digits,
     expand,
     fundamental_interval,
@@ -29,6 +28,7 @@ from piercesum import (
 )
 
 from oracles import criterion_2_rationals, cylinder_extrema_oracle, fundamental_interval_oracle
+from oracles import jumps_at_oracle
 
 #: sha256 of ``_point_text()``, as computed on the Fraction routes of the point-query oracles.
 POINT_DIGEST = "cecc74a74de18221eab8772b33d1c0609c0e282baae2ba3cb26db4f71b887764"
@@ -72,26 +72,6 @@ def test_point_queries_match_their_pinned_digest():
     assert hashlib.sha256(_point_text().encode()).hexdigest() == POINT_DIGEST
 
 
-# The routes the integer versions replaced, kept as their slow oracles.
-
-
-def jumps_at_oracle(x):
-    digits = expand(x)
-    n = len(digits)
-    magnitude = F(1, math.prod(digits[:-1]) * (digits[-1] - 1) * digits[-1])
-    interior = estar_digits(digits)
-    limit = interior - magnitude if n % 2 == 1 else interior + magnitude
-    assert estar_digits(digits[:-1] + (digits[-1] - 1, digits[-1])) == limit
-    return JumpReport(
-        x=x,
-        side="right" if n % 2 == 1 else "left",
-        parity="odd" if n % 2 else "even",
-        interior_value=interior,
-        limit_value=limit,
-        jump_magnitude=magnitude,
-    )
-
-
 realizable_prefixes = st.lists(
     st.integers(min_value=1, max_value=60), min_size=1, max_size=9, unique=True
 ).map(lambda ds: tuple(sorted(ds)))
@@ -114,6 +94,15 @@ def _long_prefixes():
 def _same(fast, slow):
     # equal field by field, and the same types (repr tells Fraction from int)
     assert fast == slow and repr(fast) == repr(slow)
+
+
+def test_oracles_do_not_read_the_library_parity_rule():
+    # oracles.py writes n % 2 itself, so intervals.side is checked against a second route
+    rules = {"side", "node_span"}
+    for node in ast.walk(ast.parse((Path(__file__).parent / "oracles.py").read_text())):
+        assert getattr(node, "id", None) not in rules and getattr(node, "attr", None) not in rules
+        if isinstance(node, ast.ImportFrom):
+            assert not rules & {alias.name for alias in node.names}
 
 
 class TestAgainstFractionRoutes:
