@@ -52,13 +52,11 @@ from .errorsum import (
     JumpReport,
     cylinder_extrema,
     estar,
-    estar_by_definition,
     esum,
     esum_stream,
     jumps_at,
     oscillation,
     preimage_pair,
-    recursion_check,
 )
 from .intervals import (
     FundInterval,

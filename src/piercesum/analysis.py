@@ -200,8 +200,8 @@ class RootBracket:
             raise AssertionError("bracket does not contain its target value")
 
 
-def _qualifying_children(prefix, prod, err_num, y):
-    """Digits k extending ``prefix`` whose cylinder still brackets y.
+def _qualifying_children(prefix, prod, err_num, yn, yd):
+    """Digits k extending ``prefix`` whose cylinder still brackets y = yn/yd.
 
     ``err_num`` is the prefix's E* numerator over its digit product P =
     ``prod``; delta > 0 is how far y lies from that E* value on the side
@@ -209,8 +209,8 @@ def _qualifying_children(prefix, prod, err_num, y):
     side -1 they span [E - n/(Pk), E - n/(Pk) + (n+1)/(Pk(k+1))], on side +1
     their mirror image.  Bracketing y therefore needs k <= n/(P delta) with the
     quadratic (P delta)k^2 + (P delta - n)k + 1 >= 0, which holds outside
-    its root interval.  In units of y's denominator q, pd = P delta q is an
-    integer, k <= nq/pd and pd k^2 + (pd - nq)k + q >= 0; rearranged,
+    its root interval.  In units of y's denominator q = ``yd``, pd = P delta q
+    is an integer, k <= nq/pd and pd k^2 + (pd - nq)k + q >= 0; rearranged,
     (nq - k pd)(k+1) <= (n+1)q is the test each candidate k <= k_hi gets.
 
     The low branch (k at most the smaller root r1) holds only k <= 2.  With
@@ -226,7 +226,6 @@ def _qualifying_children(prefix, prod, err_num, y):
     way first .. 2 and k_hi - 3 .. k_hi hold every child: at most six.
     """
     n = len(prefix)
-    yn, yd = y.numerator, y.denominator
     pd = side(n) * (prod * yn - err_num * yd)
     if pd <= 0:
         return []
@@ -278,7 +277,7 @@ def ivt_root(a, b, y, width_tol) -> RootBracket:
         # and meets (a, b), there (lo/D, hi/D), iff k lo < D < (k+1) hi; leftmost first
         s, v = side(n), value_num * D
         lo, hi = (an * prod - v, bn * prod - v) if s > 0 else (v - bn * prod, v - an * prod)
-        ks = _qualifying_children(prefix, prod, err_num, y)[::-s]
+        ks = _qualifying_children(prefix, prod, err_num, yn, yd)[::-s]
         return [k for k in ks if k * lo < D < (k + 1) * hi]
 
     nodes = walk_prefixes(children)
@@ -628,6 +627,8 @@ class SlopeFit:
 def dimension_slope(points) -> SlopeFit:
     """Fit log(count) on log(1/eps) exactly, rounded once; the slope estimates the dimension."""
     pts = [(as_rational(e), check_count(c, 1, "count")) for e, c in points]
+    if any(e <= 0 for e, _ in pts):
+        raise DomainError("scales must be positive: log(1/eps) needs eps > 0")
     if len(pts) < 3:
         raise DegenerateFitError("need at least 3 scales for a slope")
     if any(e2 >= e1 for (e1, _), (e2, _) in zip(pts, pts[1:])):

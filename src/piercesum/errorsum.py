@@ -8,12 +8,11 @@ alternating series for streams.  E is E* composed with the digit map.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, Rat, as_rational, check_count, check_prefix, child_numerators
-from .core import digit_numerators, estar_digits, evaluate_digits, expand, shift_power
+from .core import DomainError, Rat, as_rational, check_prefix, child_numerators, digit_numerators
+from .core import estar_digits, expand
 from .intervals import interval_length, node_span, side
 from .sequences import DEFAULT_DEPTH, Enclosure, PierceSeq, _truncation_bracket, as_sequence
 from .sequences import is_realizable
@@ -27,38 +26,6 @@ def estar(seq, depth: int = DEFAULT_DEPTH) -> Enclosure:
     depth/(sigma_1 ... sigma_{depth+1}).
     """
     return _truncation_bracket(seq, depth, estar_digits)
-
-
-def estar_by_definition(seq, depth: int = DEFAULT_DEPTH) -> Enclosure:
-    """Error sum evaluated straight from its definition, term by term.
-
-    Sums value - partial_sum_n with per-term enclosures; kept deliberately
-    independent of the closed form in estar so the two can cross-check each
-    other.
-    """
-    seq = as_sequence(seq)
-    check_count(depth, 1, "depth")
-    if seq.is_finite:
-        digits = seq.finite_digits()
-        value = evaluate_digits(digits)
-        total = Fraction(0)
-        for n in range(1, len(digits)):
-            total += value - evaluate_digits(digits[:n])
-        return Enclosure.exact(total)
-
-    digits = seq.digits(depth + 2)
-    value_lo = evaluate_digits(digits[: depth + 1])
-    value_hi = evaluate_digits(digits[: depth + 2])
-    if value_lo > value_hi:
-        value_lo, value_hi = value_hi, value_lo
-    lo = hi = Fraction(0)
-    for n in range(1, depth + 1):
-        partial = evaluate_digits(digits[:n])
-        lo += value_lo - partial
-        hi += value_hi - partial
-    # remaining terms: sum_{n>depth} |value - partial_n| <= geometric-ish tail
-    tail = Fraction(depth + 3, math.prod(digits[: depth + 2]) * (depth + 2))
-    return Enclosure(lo - tail, hi + tail)
 
 
 def esum(x) -> Rat:
@@ -198,25 +165,3 @@ def oscillation(prefix) -> Rat:
     prefix = check_prefix(prefix, "oscillation")
     return len(prefix) * interval_length(prefix)
 
-
-def recursion_check(x, n: int) -> bool:
-    """Verify E(x) = sum_{k<=n} (x - s_k(x)) + (-1)^n E(T^n x)/(d_1...d_n) exactly.
-
-    Digits past the expansion length count as infinite, so s_k = x there,
-    the trailing factor vanishes and the identity still holds.  The partial
-    sums share one running denominator: sum_{j<=k} s_j = total_k/prod_k with
-    total_k = total_{k-1} d_k + value_num_k, s_k = value_num_k/prod_k.
-    """
-    x = as_rational(x)
-    check_count(n, 1, "recursion depth")
-    digits = expand(x)
-    head = digits[:n]
-    prod, value_num, total = 1, 0, 0
-    for k, d in enumerate(head):
-        prod, value_num, _ = child_numerators(k, prod, value_num, 0, d)
-        total = total * d + value_num
-    rhs = len(head) * x - Fraction(total, prod)
-    if n <= len(digits):
-        tail_value = estar_digits(expand(shift_power(x, n)))
-        rhs += Fraction((-1) ** n, prod) * tail_value
-    return estar_digits(digits) == rhs

@@ -1,33 +1,62 @@
-"""Slow oracles that the library's fast paths are checked against.
+"""Slow oracles that the library's fast paths are checked against, and their inputs.
 
 Each oracle takes the definitional route to a value that the library
-computes a faster way: the digit kernels without their memos, and the
-point queries in ``Fraction`` arithmetic instead of integer numerators.
-``criterion_2_rationals`` draws the points they are most often run on.
+computes a faster way: the digit kernels without their memos, the point
+queries in ``Fraction`` arithmetic instead of integer numerators, E* from
+its defining sum instead of its closed form, and the right side of the
+paper's recursion identity, whose callers check that it equals E(x).
+The input draws that several test files share are here too, written once.
 
 The point-query oracles write the parity flip of the geometry out as
 ``n % 2`` themselves and do not import ``intervals.side``, the library's
-one rule for it, so that they stay a route independent of that rule.
+one rule for it, so that they stay a route independent of that rule;
+``estar_by_definition`` does not call the closed form it checks.
 """
 
 import math
 import random
 from fractions import Fraction as F
 
-from piercesum import CylinderExtrema, FundInterval, JumpReport, PierceSeq, estar_digits
-from piercesum import evaluate_digits, expand, hat_prime
-from piercesum.core import child_numerators
+from piercesum import DEFAULT_DEPTH, CylinderExtrema, Enclosure, FundInterval, JumpReport
+from piercesum import PierceSeq, constant_stream, esum, estar_digits, evaluate_digits, expand
+from piercesum import hat_prime, shift_power
+from piercesum.core import check_count, child_numerators
 from piercesum.intervals import interval_length
+from piercesum.sequences import as_sequence
 
 
-def criterion_2_rationals(count):
-    # the first draws of acceptance criterion 2 (seed 20260809, den <= 10^6)
-    rng = random.Random(20260809)
+def random_unit_rationals(count, seed=20260809):
+    # p/q with q uniform in 1..10^6 and p uniform in 0..q; the default seed
+    # draws acceptance criterion 2's points, the ones the oracles most often run on
+    rng = random.Random(seed)
     out = []
     for _ in range(count):
         q = rng.randint(1, 10**6)
         out.append(F(rng.randint(0, q), q))
     return out
+
+
+def ivt_triples(seed, count):
+    # (a, b, y) with E(a) < y < E(b), drawn as in acceptance criterion 10 (seed 101)
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a = F(rng.randint(1, 9999), 10000)
+        b = a + F(rng.randint(1, 5000), 10000)
+        if b >= 1:
+            continue
+        ea, eb = esum(a), esum(b)
+        if not ea < eb:
+            continue
+        y = ea + F(rng.randint(1, 127), 128) * (eb - ea)
+        if ea < y < eb:
+            out.append((a, b, y))
+    return out
+
+
+def stream_seq():
+    # the digits 1, 2, 3, ... of 1 - 1/e, whose error sum is 2/e - 1
+    return PierceSeq.from_stream(constant_stream("one-minus-inv-e"))
 
 
 def expand_oracle(x):
@@ -93,3 +122,55 @@ def jumps_at_oracle(x):
         limit_value=limit,
         jump_magnitude=magnitude,
     )
+
+
+def estar_by_definition(seq, depth: int = DEFAULT_DEPTH) -> Enclosure:
+    """Error sum evaluated straight from its definition, term by term.
+
+    Sums value - partial_sum_n with per-term enclosures; kept deliberately
+    independent of the closed form in estar so the two can cross-check each
+    other.
+    """
+    seq = as_sequence(seq)
+    check_count(depth, 1, "depth")
+    if seq.is_finite:
+        digits = seq.finite_digits()
+        value = evaluate_digits(digits)
+        total = F(0)
+        for n in range(1, len(digits)):
+            total += value - evaluate_digits(digits[:n])
+        return Enclosure.exact(total)
+
+    digits = seq.digits(depth + 2)
+    value_lo = evaluate_digits(digits[: depth + 1])
+    value_hi = evaluate_digits(digits[: depth + 2])
+    if value_lo > value_hi:
+        value_lo, value_hi = value_hi, value_lo
+    lo = hi = F(0)
+    for n in range(1, depth + 1):
+        partial = evaluate_digits(digits[:n])
+        lo += value_lo - partial
+        hi += value_hi - partial
+    # remaining terms: sum_{n>depth} |value - partial_n| <= geometric-ish tail
+    tail = F(depth + 3, math.prod(digits[: depth + 2]) * (depth + 2))
+    return Enclosure(lo - tail, hi + tail)
+
+
+def recursion_rhs_oracle(x, n):
+    """The right side of E(x) = sum_{k<=n} (x - s_k(x)) + (-1)^n E(T^n x)/(d_1...d_n).
+
+    Digits past the expansion length count as infinite, so s_k = x there,
+    the trailing term vanishes and the identity still holds.  The partial
+    sums share one running denominator: sum_{j<=k} s_j = total_k/prod_k with
+    total_k = total_{k-1} d_k + value_num_k, s_k = value_num_k/prod_k.
+    """
+    digits = expand(x)
+    head = digits[:n]
+    prod, value_num, total = 1, 0, 0
+    for k, d in enumerate(head):
+        prod, value_num, _ = child_numerators(k, prod, value_num, 0, d)
+        total = total * d + value_num
+    rhs = len(head) * x - F(total, prod)
+    if n <= len(digits):
+        rhs += F((-1) ** n, prod) * estar_digits(expand(shift_power(x, n)))
+    return rhs

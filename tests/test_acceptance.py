@@ -35,27 +35,18 @@ from piercesum import (
     phi,
     phi_partial,
     preimage_pair,
-    recursion_check,
     rho_seq,
     shift_power,
     variation_over_partition,
 )
 from piercesum.certify import log_enclosure
 
+from oracles import ivt_triples, random_unit_rationals, recursion_rhs_oracle
+
 
 def report(number: int, ok: bool, detail: str):
     print(f"\nACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {number} failed: {detail}"
-
-
-def random_unit_rationals(count, max_den, seed):
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        q = rng.randint(1, max_den)
-        p = rng.randint(0, q)
-        out.append(F(p, q))
-    return out
 
 
 def test_criterion_01_integral_reproduction():
@@ -73,21 +64,22 @@ def test_criterion_01_integral_reproduction():
 
 
 def test_criterion_02_exact_identity_suite():
-    points = random_unit_rationals(10**4, 10**6, seed=20260809)
+    points = random_unit_rationals(10**4)
     for x in points:
         digits = expand(x)
         # round trip through the evaluation map
         assert phi(PierceSeq(digits)).lo == x
         # two routes to E(x): closed form over digits vs the defining sum
         direct = sum((x - convergent(x, k) for k in range(1, len(digits) + 1)), F(0))
-        assert esum(x) == direct
+        error_sum = esum(x)
+        assert error_sum == direct
         prod = 1
         for n in range(1, len(digits) + 1):
             prod *= digits[n - 1]
             # remainder identity at every depth
             assert x - convergent(x, n) == F((-1) ** n, prod) * shift_power(x, n)
             # recursion identity at every depth
-            assert recursion_check(x, n)
+            assert recursion_rhs_oracle(x, n) == error_sum
     checked = 0
     for order in (1, 2, 3):
         for prefix in combinations(range(1, 31), order):
@@ -140,7 +132,7 @@ def test_criterion_04_bound_suite():
         d += 1
     assert count >= 10**5
 
-    points = random_unit_rationals(10**4, 10**6, seed=4)
+    points = random_unit_rationals(10**4, seed=4)
     for x in points:
         assert F(-1, 2) < esum(x) <= 0
 
@@ -218,7 +210,7 @@ def test_criterion_04_lipschitz_as_stated():
 
 
 def test_criterion_05_jump_formulas():
-    points = [x for x in random_unit_rationals(1300, 10**6, seed=55) if 0 < x < 1]
+    points = [x for x in random_unit_rationals(1300, seed=55) if 0 < x < 1]
     assert len(points) >= 10**3
     for x in points[:1000]:
         rep = jumps_at(x)
@@ -387,23 +379,10 @@ def test_criterion_09_box_dimension_trend():
 
 
 def test_criterion_10_ivt_brackets():
-    rng = random.Random(101)
     tol = F(1, 10**9)
-    done = 0
-    while done < 100:
-        a = F(rng.randint(1, 9999), 10000)
-        b = a + F(rng.randint(1, 5000), 10000)
-        if b >= 1:
-            continue
-        ea, eb = esum(a), esum(b)
-        if not ea < eb:
-            continue
-        y = ea + F(rng.randint(1, 127), 128) * (eb - ea)
-        if not ea < y < eb:
-            continue
+    for a, b, y in ivt_triples(101, 100):
         bracket = ivt_root(a, b, y, tol)
         assert bracket.interval.length < tol
         assert bracket.value_min <= y <= bracket.value_max
         assert bracket.interval.right > a and bracket.interval.left < b
-        done += 1
     report(10, True, "100 random IVT brackets of width < 1e-9 containing their targets")

@@ -38,7 +38,7 @@ from piercesum import analysis, certify
 from piercesum.analysis import INTEGRAL_MAX_GRID, INTEGRAL_SCALE, _grid_total
 from piercesum.certify import exp_enclosure, iroot, root_enclosure
 
-from oracles import cylinder_extrema_oracle, fundamental_interval_oracle
+from oracles import cylinder_extrema_oracle, fundamental_interval_oracle, ivt_triples
 
 
 def _esum_floor_scaled(p: int, q: int, scale: int) -> int:
@@ -263,24 +263,6 @@ def ivt_root_oracle(a, b, y, width_tol, depth_cap=MAX_DEPTH):
         if found is not None:
             return found
     raise DepthOverflowError(f"no bracket narrower than {width_tol} within depth {depth_cap}")
-
-
-def ivt_triples(seed, count):
-    # (a, b, y) with E(a) < y < E(b), drawn as in acceptance criterion 10
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        a = F(rng.randint(1, 9999), 10000)
-        b = a + F(rng.randint(1, 5000), 10000)
-        if b >= 1:
-            continue
-        ea, eb = esum(a), esum(b)
-        if not ea < eb:
-            continue
-        y = ea + F(rng.randint(1, 127), 128) * (eb - ea)
-        if ea < y < eb:
-            out.append((a, b, y))
-    return out
 
 
 class TestIvtRoot:
@@ -588,6 +570,12 @@ class TestDimensionSlope:
     def test_too_few_points(self):
         with pytest.raises(DegenerateFitError):
             dimension_slope([(F(1, 4), 2), (F(1, 8), 4)])
+
+    @pytest.mark.parametrize("last", [F(0), F(-1, 8)])
+    def test_non_positive_scales_rejected(self, last):
+        # strictly decreasing, so only the log of the last scale could fail
+        with pytest.raises(DomainError, match="scales must be positive"):
+            dimension_slope([(F(1, 2), 3), (F(1, 4), 5), (last, 9)])
 
     def test_small_sweep_lands_near_one(self):
         fit = dimension_slope(box_count_sweep([F(1, 2**k) for k in range(4, 9)]))

@@ -18,14 +18,12 @@ from piercesum import (
     convergent,
     count_bounded_products,
     estar,
-    estar_by_definition,
     factorial_bounds_check,
     hausdorff_cover_sum,
     integrate_esum,
     locate,
     partition,
     phi,
-    recursion_check,
     rho_seq,
     shift_power,
     truncate,
@@ -51,8 +49,6 @@ SITES = [
     pytest.param(lambda depth: estar(STREAM, depth), 1, id="estar"),
     pytest.param(lambda n: truncate((1, 3, 7), n), 1, id="truncate"),
     pytest.param(lambda depth: rho_seq((1, 3), STREAM, depth), 1, id="rho_seq"),
-    pytest.param(lambda depth: estar_by_definition(STREAM, depth), 1, id="estar_by_definition"),
-    pytest.param(lambda n: recursion_check(F(3, 8), n), 1, id="recursion_check"),
     pytest.param(lambda n: partition(n, 3), 1, id="partition.n"),
     pytest.param(lambda cap: partition(1, cap), 1, id="partition.digit_cap"),
     pytest.param(lambda n: locate(F(3, 8), n), 1, id="locate"),

@@ -23,7 +23,7 @@ from piercesum import (
 from piercesum import core
 from piercesum.core import digit_numerators
 
-from oracles import criterion_2_rationals, expand_oracle, numerators_oracle
+from oracles import expand_oracle, numerators_oracle, random_unit_rationals
 
 # random rationals in [0, 1]
 unit_rationals = st.builds(
@@ -74,7 +74,7 @@ class TestKernelMemos:
         return digits
 
     def test_hits_and_evictions_match_the_oracles(self):
-        xs = criterion_2_rationals(40)
+        xs = random_unit_rationals(40)
         for x in xs:  # each x twice in a row: the second call is a hit
             self._check(x)
             hits = core._expand.cache_info().hits, core._fold.cache_info().hits
@@ -85,7 +85,7 @@ class TestKernelMemos:
             self._check(x)
 
     def test_tuple_list_and_generator_give_the_same_triple(self):
-        for x in criterion_2_rationals(20):
+        for x in random_unit_rationals(20):
             digits = expand(x)
             triple = numerators_oracle(digits)
             assert digit_numerators(digits) == triple
@@ -93,7 +93,7 @@ class TestKernelMemos:
             assert digit_numerators(d for d in digits) == triple
 
     def test_fraction_string_and_int_inputs_expand_alike(self):
-        for x in criterion_2_rationals(20) + [F(0), F(1)]:
+        for x in random_unit_rationals(20) + [F(0), F(1)]:
             want = expand_oracle(x)
             assert expand(x) == expand(f"{x.numerator}/{x.denominator}") == want
             if x.denominator == 1:
@@ -119,7 +119,7 @@ class TestKernelMemos:
         assert {type(d) for d in expand(F(3, 8))} == {int}
 
     def test_memos_stay_within_their_size(self):
-        for x in criterion_2_rationals(100):
+        for x in random_unit_rationals(100):
             digit_numerators(expand(x))
         for memo in (core._expand, core._fold):
             info = memo.cache_info()

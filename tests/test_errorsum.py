@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 from piercesum import (
     DomainError,
     PierceSeq,
-    constant_stream,
     convergent,
     cylinder_extrema,
     estar,
-    estar_by_definition,
     estar_digits,
     esum,
     esum_stream,
-    evaluate_digits,
     expand,
     hat_prime,
     interval_length,
@@ -26,9 +23,9 @@ from piercesum import (
     oscillation,
     phi,
     preimage_pair,
-    recursion_check,
-    shift_power,
 )
+
+from oracles import estar_by_definition, recursion_rhs_oracle, stream_seq
 
 # 2/e - 1 to 35 digits, from an independent high-precision evaluation
 TWO_OVER_E_MINUS_ONE = F(-26424111765711535680895245967707827, 10**35)
@@ -42,10 +39,6 @@ interior_rationals = unit_rationals.filter(lambda x: 0 < x < 1)
 finite_seqs = st.lists(st.integers(min_value=1, max_value=60), max_size=6, unique=True).map(
     lambda ds: tuple(sorted(ds))
 )
-
-
-def stream_seq():
-    return PierceSeq.from_stream(constant_stream("one-minus-inv-e"))
 
 
 class TestEstar:
@@ -268,27 +261,10 @@ class TestOscillation:
         assert oscillation(prefix) == len(prefix) * interval_length(prefix)
 
 
-def recursion_rhs_oracle(x, n):
-    """The right side of the recursion identity, one Fraction partial sum per k."""
-    digits = expand(x)
-    rhs = F(0)
-    for k in range(1, n + 1):
-        rhs += x - evaluate_digits(digits[:k])
-    if n <= len(digits):
-        tail_value = estar_digits(expand(shift_power(x, n)))
-        rhs += F((-1) ** n, math.prod(digits[:n])) * tail_value
-    return rhs
-
-
 class TestRecursion:
     @pytest.mark.parametrize("x,n", [(F(3, 8), 1), (F(3, 8), 2), (F(0), 3)])
     def test_examples(self, x, n):
-        assert recursion_check(x, n)
-
-    @given(unit_rationals, st.integers(min_value=1, max_value=10))
-    @settings(max_examples=300)
-    def test_holds_everywhere(self, x, n):
-        assert recursion_check(x, n)
+        assert recursion_rhs_oracle(x, n) == esum(x)
 
     @given(unit_rationals, st.integers(min_value=1, max_value=12))
     @example(F(0), 1)
@@ -298,11 +274,8 @@ class TestRecursion:
     @example(F(86243, 98765), 9)  # nine digits: n at the expansion length
     @example(F(86243, 98765), 12)
     @settings(max_examples=300)
-    def test_running_sum_matches_the_per_k_oracle(self, x, n):
-        # recursion_check holds exactly when its running right side equals
-        # E(x), so both holding makes the two right sides equal
+    def test_holds_everywhere(self, x, n):
         assert recursion_rhs_oracle(x, n) == esum(x)
-        assert recursion_check(x, n)
 
 
 def test_jump_formula_spot_check_against_deeper_realizable_value():

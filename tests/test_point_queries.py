@@ -9,7 +9,6 @@ All three oracles are in ``oracles.py``.
 
 import ast
 import hashlib
-import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -27,34 +26,16 @@ from piercesum import (
     phi,
 )
 
-from oracles import criterion_2_rationals, cylinder_extrema_oracle, fundamental_interval_oracle
-from oracles import jumps_at_oracle
+from oracles import cylinder_extrema_oracle, fundamental_interval_oracle, ivt_triples
+from oracles import jumps_at_oracle, random_unit_rationals
 
 #: sha256 of ``_point_text()``, as computed on the Fraction routes of the point-query oracles.
 POINT_DIGEST = "cecc74a74de18221eab8772b33d1c0609c0e282baae2ba3cb26db4f71b887764"
 
 
-def _criterion_10_triples(count):
-    # (a, b, y) with E(a) < y < E(b), drawn as in acceptance criterion 10
-    rng = random.Random(101)
-    out = []
-    while len(out) < count:
-        a = F(rng.randint(1, 9999), 10000)
-        b = a + F(rng.randint(1, 5000), 10000)
-        if b >= 1:
-            continue
-        ea, eb = esum(a), esum(b)
-        if not ea < eb:
-            continue
-        y = ea + F(rng.randint(1, 127), 128) * (eb - ea)
-        if ea < y < eb:
-            out.append((a, b, y))
-    return out
-
-
 def _point_text():
     lines = []
-    for x in criterion_2_rationals(2000):
+    for x in random_unit_rationals(2000):
         digits = expand(x)
         fields = [x, digits, phi(digits), esum(x)]
         if 0 < x < 1:
@@ -63,7 +44,7 @@ def _point_text():
             fields += [fundamental_interval(digits), cylinder_extrema(digits)]
         lines.append(" ".join(map(repr, fields)))
     tol = F(1, 10**9)
-    for a, b, y in _criterion_10_triples(200):
+    for a, b, y in ivt_triples(101, 200):
         lines.append(repr(ivt_root(a, b, y, tol)))
     return "\n".join(lines)
 
@@ -96,13 +77,29 @@ def _same(fast, slow):
     assert fast == slow and repr(fast) == repr(slow)
 
 
+def _names(tree):
+    # every name a syntax tree reads, as a bare name, an attribute or an import
+    for node in ast.walk(tree):
+        yield from (getattr(node, "id", None), getattr(node, "attr", None))
+        if isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+ORACLES = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+
+
 def test_oracles_do_not_read_the_library_parity_rule():
     # oracles.py writes n % 2 itself, so intervals.side is checked against a second route
-    rules = {"side", "node_span"}
-    for node in ast.walk(ast.parse((Path(__file__).parent / "oracles.py").read_text())):
-        assert getattr(node, "id", None) not in rules and getattr(node, "attr", None) not in rules
-        if isinstance(node, ast.ImportFrom):
-            assert not rules & {alias.name for alias in node.names}
+    assert not {"side", "node_span"} & set(_names(ORACLES))
+
+
+def test_definitional_error_sum_does_not_call_the_closed_form():
+    # estar_by_definition sums x - s_n itself, so estar is checked against a second route
+    (definition,) = [
+        node for node in ORACLES.body
+        if isinstance(node, ast.FunctionDef) and node.name == "estar_by_definition"
+    ]
+    assert not {"estar", "estar_digits"} & set(_names(definition))
 
 
 class TestAgainstFractionRoutes:

@@ -15,7 +15,6 @@ from piercesum import (
     calibrate_product_bound,
     count_bounded_products,
     cylinder_extrema,
-    estar_by_definition,
     estar_digits,
     evaluate_digits,
     hausdorff_cover_sum,
@@ -29,6 +28,8 @@ from piercesum.analysis import _cell_runs, _grid_equivalent, _qualifying_childre
 from piercesum.core import child_numerators, digit_numerators
 from piercesum.intervals import capped_masses, interval_length
 from piercesum.sequences import walk_prefixes
+
+from oracles import estar_by_definition
 
 
 def box_count_oracle(epsilon):
@@ -350,4 +351,5 @@ def test_qualifying_children_match_a_brute_force_scan(digits, t):
         child = cylinder_extrema(prefix + (k,))
         if child.minimum <= y <= child.maximum:
             brute.append(k)
-    assert _qualifying_children(prefix, prod, int(value * prod), y) == brute
+    yn, yd = y.numerator, y.denominator
+    assert _qualifying_children(prefix, prod, int(value * prod), yn, yd) == brute

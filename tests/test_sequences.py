@@ -12,7 +12,6 @@ from piercesum import (
     DomainError,
     Enclosure,
     PierceSeq,
-    constant_stream,
     expand,
     hat,
     hat_prime,
@@ -23,6 +22,8 @@ from piercesum import (
     rho_seq,
     truncate,
 )
+
+from oracles import stream_seq
 
 # 1 - 1/e to 35 digits, from an independent high-precision evaluation
 ONE_MINUS_INV_E = F(63212055882855767840447622983853913, 10**35)
@@ -36,10 +37,6 @@ unit_rationals = st.builds(
     st.integers(min_value=0, max_value=10**5),
     st.integers(min_value=1, max_value=10**5),
 )
-
-
-def stream_seq():
-    return PierceSeq.from_stream(constant_stream("one-minus-inv-e"))
 
 
 class TestPierceSeq:

@@ -1,10 +1,11 @@
 """A bit-for-bit pin of the stream-backed evaluations.
 
 The digest covers the exact endpoints and digit tuples that ``phi``,
-``estar``, ``estar_by_definition``, ``esum_stream``, ``rho_seq``,
-``truncate`` and ``PierceSeq.digits`` return for three stream-backed
-sequences at depths 1..40.  It hashes numbers, not the ``repr`` of a
-sequence, so it does not depend on how a stream prints.
+``estar``, ``esum_stream``, ``rho_seq``, ``truncate`` and
+``PierceSeq.digits`` return for three stream-backed sequences at depths
+1..40, and the enclosures of ``oracles.estar_by_definition``, the
+definitional E* that ``estar`` is checked against.  It hashes numbers, not
+the ``repr`` of a sequence, so it does not depend on how a stream prints.
 """
 
 import hashlib
@@ -15,11 +16,12 @@ from piercesum import (
     constant_stream,
     esum_stream,
     estar,
-    estar_by_definition,
     phi,
     rho_seq,
     truncate,
 )
+
+from oracles import estar_by_definition
 
 #: sha256 of ``_stream_text()``.
 STREAM_DIGEST = "9ce82b2f132cae7252a3d96fa7db6e6556a2bbf0e5c14fa889db480febf42e36"
