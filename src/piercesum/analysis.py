@@ -19,7 +19,8 @@ from .certify import exp_enclosure, iroot, log_enclosure, pow_enclosure, refine
 from .core import MAX_DEPTH, DepthOverflowError, DomainError, Rat, ResourceLimitError
 from .core import as_rational, check_count, child_numerators
 from .errorsum import _cylinder_extrema, esum
-from .intervals import FundInterval, _fundamental_interval, capped_masses, side
+from .intervals import FundInterval, _check_mass_budget, _fundamental_interval
+from .intervals import capped_masses, side
 from .sequences import Enclosure, walk_prefixes
 
 
@@ -54,10 +55,10 @@ INTEGRAL_MAX_GRID = 2**26
 #: has next digit grid // r at most this.
 _DEEP_QUOTIENT = 63
 
-#: Depth down to which the grid sum splits Pierce cylinders by their next
-#: digit; below it each point steps its own shift chain to the table.  At
-#: grid 2^21, depth 3 was faster than depths 1, 2, 4 and 5.
-_CYLINDER_DEPTH = 3
+#: The grid sum splits a Pierce cylinder by its next digit while it holds at
+#: least this many points.  At grids near 2^20 and 2^21, 1024 was as fast as
+#: 512 and 2048, and faster than 256 and 4096.
+_LEAF = 1024
 
 
 def _grid_total(n: int) -> int:
@@ -70,10 +71,11 @@ def _grid_total(n: int) -> int:
     p*z = S*w + H(r), z = S*n*E(k/n).  With P = |p|, m = w*sign(p) and x =
     floor(sign(p)*H(r)) from the table, the pair adds
     -(S // n)*k - ceil((e + (S*m + x) mod P*n + (S mod n)*k*P) / (P*n)),
-    e the table's inexact flag: one big-integer remainder per pair, and
-    the first terms sum in closed form.  Cylinders split by their next
-    digit down to depth _CYLINDER_DEPTH; below it a point whose shift is
-    not yet in the table steps r -> n mod r itself.
+    e the table's inexact flag; the first terms sum in closed form.  The k
+    with r in the table form one k-interval, read at stride P with S*m mod
+    P*n and (S mod n)*k*P stepped by addition: one remainder per pair.  A
+    cylinder of _LEAF or more points splits its other k by their next
+    digit; in a smaller one each steps r -> n mod r down to the table.
     """
     scale, stored = INTEGRAL_SCALE, n // (_DEEP_QUOTIENT + 1)
     # floor(H(r)) and ceil(H(r)) - floor(H(r)) for r <= stored; H(0) = 0
@@ -83,32 +85,48 @@ def _grid_total(n: int) -> int:
         c, f = -((-lo[r] - inexact[r]) // d), lo[r] // d
         lo[k], inexact[k] = scale * k - c, c - f
     half, g = (n - 1) // 2, scale % n
-    # cylinders (k0, k1, p, b, u, v, t), walked depth first; digit d maps r to n - d*r
-    cylinders, ceils = [(1, half, 1, 0, -1, 0, 0)], 0  # ceils stays a small int
+    # cylinders (k0, k1, p, b, u, v), walked depth first; digit d maps r to n - d*r
+    cylinders, ceils = [(1, half, 1, 0, -1, 0)], 0  # ceils stays a small int
     while cylinders:
-        k0, k1, p, b, u, v, t = cylinders.pop()
-        if t < _CYLINDER_DEPTH:
-            # the next digit n // r is monotone in r, so each digit takes one k-interval;
-            # the last span, digit 0 here, is the points finished from the table below
-            r0, r1 = sorted((p * k0 + b, p * k1 + b))
-            digits = range(n // r1, n // max(r0, stored + 1) + 1) if r1 > stored else ()
-            spans = [(n // (d + 1) + 1, n // d, d) for d in digits] + [(0, stored, 0)]
-            for lo_r, hi_r, d in spans:  # the k with lo_r <= p*k + b <= hi_r
-                ka, kb = (lo_r, hi_r) if p > 0 else (hi_r, lo_r)
-                ka, kb = max(k0, -((b - ka) // p)), min(k1, (kb - b) // p)
-                if d and ka <= kb:
-                    cylinders.append((ka, kb, -d * p, n - d * b, -d * (u + p), -d * (v + b), t + 1))
-            k0, k1 = ka, kb
-        for k in range(k0, k1 + 1):
-            r, w, q = p * k + b, u * k + v, p
-            while r > stored:  # only at depth _CYLINDER_DEPTH
-                d = n // r
-                r, w, q = n - d * r, -d * (w + r), -d * q
-            e, x = inexact[r], lo[r]
-            if q < 0:
-                q, w, x = -q, -w, -x - e
-            pn = q * n
-            ceils += (e + (scale * w + x) % pn + g * q * k + pn - 1) // pn
+        k0, k1, p, b, u, v = cylinders.pop()
+        r0, r1 = sorted((p * k0 + b, p * k1 + b))
+        big_p = abs(p)
+        in_table = (min(r1, stored) - r0) // big_p + 1 if r0 <= stored else 0  # how many k
+        ka, kb = (k0 + in_table, k1) if p > 0 else (k0, k1 - in_table)  # the other k
+        if k1 - k0 + 1 >= _LEAF:
+            # the next digit n // r is monotone in r, so each digit takes one k-interval
+            for d in range(n // r1, n // max(r0, stored + 1) + 1) if r1 > stored else ():
+                lo_r, hi_r = n // (d + 1) + 1, n // d  # the k with lo_r <= p*k + b <= hi_r
+                ja, jb = (lo_r, hi_r) if p > 0 else (hi_r, lo_r)
+                ja, jb = max(k0, -((b - ja) // p)), min(k1, (jb - b) // p)
+                if ja <= jb:
+                    cylinders.append((ja, jb, -d * p, n - d * b, -d * (u + p), -d * (v + b)))
+        else:
+            for k in range(ka, kb + 1):
+                r, w, q = p * k + b, u * k + v, p
+                while r > stored:
+                    d = n // r
+                    r, w, q = n - d * r, -d * (w + r), -d * q
+                e, x = inexact[r], lo[r]
+                if q < 0:
+                    q, w, x = -q, -w, -x - e
+                pn = q * n
+                ceils += (e + (scale * w + x) % pn + g * q * k + pn - 1) // pn
+        if in_table:
+            # r = r0, r0 + P, ...: k steps by sign(p), so m = w*sign(p) steps by u
+            k, pn = (k0 if p > 0 else k1), big_p * n
+            sm, step = scale * (u * k + v) * (1 if p > 0 else -1) % pn, scale * u % pn
+            gk, g_step = g * big_p * k + pn - 1, g * p
+            shifts = range(r0, r0 + in_table * big_p, big_p)
+            pairs = zip(map(lo.__getitem__, shifts), map(inexact.__getitem__, shifts))
+            if p > 0:
+                for x, e in pairs:
+                    ceils += (e + (sm + x) % pn + gk) // pn
+                    sm, gk = sm + step, gk + g_step
+            else:
+                for x, e in pairs:
+                    ceils += (e + (sm - x - e) % pn + gk) // pn
+                    sm, gk = sm + step, gk + g_step
     return -(scale // n) * (half * (half + 1) // 2) - ceils
 
 
@@ -127,8 +145,9 @@ def integrate_esum(grid: int) -> IntegralReport:
     Every point value is floored exactly to a multiple of 1/INTEGRAL_SCALE,
     and the floors sum to an integer, so quantization bounds the only error.
     The points k/grid and 1 - k/grid are summed as one pair, read off a
-    table of small shifts through the Pierce cylinder of k/grid with one
-    big-integer remainder (see _grid_total).
+    table of small shifts with one big-integer remainder; the pairs of a
+    Pierce cylinder whose shift is in the table take one strided pass over
+    it, and large cylinders split by their next digit (see _grid_total).
     """
     if check_count(grid, 1, "grid") > INTEGRAL_MAX_GRID:
         raise ResourceLimitError(f"grid {grid} exceeds the cap {INTEGRAL_MAX_GRID}")
@@ -169,12 +188,13 @@ def variation_over_partition(n: int, digit_cap: "int | None" = None) -> Variatio
     times its length, so the capped sum and the residual both come from the
     one digit pass of ``capped_masses``: the forward sum of child lengths
     and the telescoped tails.  They recombine to n exactly, which is
-    asserted as a two-route consistency check.
+    asserted as a two-route consistency check; the mass budget comes first.
     """
     check_count(n, 1, "partition order")
     if digit_cap is None:
         return VariationReport(n, None, Fraction(n), Fraction(0))
-    covered, residual = capped_masses(n, check_count(digit_cap, 1, "digit cap"))
+    _check_mass_budget(n, check_count(digit_cap, 1, "digit cap"), "variation_over_partition")
+    covered, residual = capped_masses(n, digit_cap)
     report = VariationReport(n, digit_cap, n * covered, residual)
     if report.total != n:
         raise AssertionError(f"partition mass identity failed at order {n}, cap {digit_cap}")
@@ -333,13 +353,14 @@ def hausdorff_cover_sum(n: int, s, digit_cap: int) -> CoverSum:
     floor root at scale COVER_SCALE, and the brackets, times the length's
     multiplicity, are summed as integers.  The omitted prefixes contribute
     at most (sqrt(n^2+1) * max omitted length)^(s-1) times their total
-    length, which telescopes exactly.
+    length, which telescopes exactly.  The mass budget is checked first.
     """
     check_count(n, 1, "order")
     check_count(digit_cap, n, "digit cap")  # room for an order-n prefix
     s = as_rational(s)
     if s < 1:
         raise DomainError("exponent must be >= 1")
+    _check_mass_budget(n, digit_cap, "hausdorff_cover_sum")
     p, q, scale = s.numerator, s.denominator, COVER_SCALE
     diam_sq = n * n + 1  # diameter^2 = (n^2+1) * length^2
 

@@ -289,17 +289,17 @@ def _write_csv(scalars, rows, out) -> None:
 
 def _write_table(scalars, rows, out) -> None:
     """Scalars as key: value lines, then the rows in aligned columns."""
-    lines = [f"{key}: {value}" for key, value in scalars.items()]
-    # the column widths depend on every row, so this format holds them all
-    rows = list(rows or ())
-    if rows:
-        keys = list(rows[0])
-        table = [keys] + [[str(row[k]) for k in keys] for row in rows]
+    out.writelines(f"{key}: {value}\n" for key, value in scalars.items())
+    rows = iter(rows or ())
+    first = next(rows, None)
+    if first is not None:
+        keys = tuple(first)
+        # the column widths depend on every row, so this format holds all their cells
+        table = [keys] + [tuple(str(row[k]) for k in keys) for row in chain([first], rows)]
         widths = [max(len(r[i]) for r in table) for i in range(len(keys))]
-        lines.append("")
+        out.write("\n")
         for r in table:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
-    out.write("\n".join(lines) + "\n")
+            out.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
 
 
 _WRITERS = {"json": _write_json, "csv": _write_csv, "table": _write_table}

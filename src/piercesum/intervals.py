@@ -143,16 +143,24 @@ def check_interval_budget(orders, digit_cap: int, what: str) -> None:
             raise ResourceLimitError(f"{what} exceeds MAX_INTERVALS = {MAX_INTERVALS} intervals")
 
 
+def _check_mass_budget(n: int, digit_cap: int, what: str) -> None:
+    """ResourceLimitError if capped_masses(n, digit_cap) would take more than about a second."""
+    # n * cap Fraction steps, each about 30 ns per unit of cap (the denominators grow) plus 6 us
+    if n * digit_cap * (digit_cap + 200) > 2**25:
+        raise ResourceLimitError(f"{what} exceeds the mass budget n * cap * (cap + 200) <= 2^25")
+
+
 def partition(n: int, digit_cap: int) -> Partition:
     """Order-n fundamental intervals with all digits <= digit_cap.
 
     Intervals come out in lexicographic prefix order and are mutually
     disjoint; the exact residual says how much of [0, 1] the cap leaves out.
-    More than MAX_INTERVALS intervals raise ResourceLimitError before any work.
+    Past MAX_INTERVALS or the mass budget, ResourceLimitError comes before any work.
     """
     check_count(n, 1, "partition order")
     check_count(digit_cap, 1, "digit cap")
     check_interval_budget((n,), digit_cap, f"partition({n}, {digit_cap})")
+    _check_mass_budget(n, digit_cap, f"partition({n}, {digit_cap})")
     intervals = tuple(fundamental_interval(p) for p in combinations(range(1, digit_cap + 1), n))
     return Partition(n, digit_cap, intervals, capped_masses(n, digit_cap)[1])
 

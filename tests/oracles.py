@@ -3,8 +3,10 @@
 Each oracle takes the definitional route to a value that the library
 computes a faster way: the digit kernels without their memos, the point
 queries in ``Fraction`` arithmetic instead of integer numerators, E* from
-its defining sum instead of its closed form, and the right side of the
-paper's recursion identity, whose callers check that it equals E(x).
+its defining sum instead of its closed form, the integral's grid sum point
+by point instead of through Pierce cylinders and a shift table, and the
+right side of the paper's recursion identity, whose callers check that it
+equals E(x).
 The input draws that several test files share are here too, written once.
 
 The point-query oracles write the parity flip of the geometry out as
@@ -20,6 +22,7 @@ from fractions import Fraction as F
 from piercesum import DEFAULT_DEPTH, CylinderExtrema, Enclosure, FundInterval, JumpReport
 from piercesum import PierceSeq, constant_stream, esum, estar_digits, evaluate_digits, expand
 from piercesum import hat_prime, shift_power
+from piercesum.analysis import INTEGRAL_SCALE
 from piercesum.core import check_count, child_numerators
 from piercesum.intervals import interval_length
 from piercesum.sequences import as_sequence
@@ -174,3 +177,25 @@ def recursion_rhs_oracle(x, n):
     if n <= len(digits):
         rhs += F((-1) ** n, prod) * estar_digits(expand(shift_power(x, n)))
     return rhs
+
+
+def esum_floor_scaled(p: int, q: int, scale: int) -> int:
+    # oracle: floor(E(p/q) * scale) for p/q in lowest terms, from the digits
+    if p == 0:
+        return 0
+    num, den, k, r = 0, 1, 0, p
+    while r:
+        d, r = divmod(q, r)
+        k += 1
+        num = num * d + (k - 1 if k % 2 else -(k - 1))
+        den *= d
+    return (num * scale) // den
+
+
+def grid_total_per_point(grid: int) -> int:
+    # oracle: expand every grid point k/grid from scratch
+    total = 0
+    for k in range(grid):
+        g = math.gcd(k, grid)
+        total += esum_floor_scaled(k // g, grid // g, INTEGRAL_SCALE)
+    return total

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import os
@@ -38,29 +39,27 @@ from piercesum import analysis, certify
 from piercesum.analysis import INTEGRAL_MAX_GRID, INTEGRAL_SCALE, _grid_total
 from piercesum.certify import exp_enclosure, iroot, root_enclosure
 
-from oracles import cylinder_extrema_oracle, fundamental_interval_oracle, ivt_triples
+from oracles import cylinder_extrema_oracle, esum_floor_scaled, fundamental_interval_oracle
+from oracles import grid_total_per_point, ivt_triples
 
 
-def _esum_floor_scaled(p: int, q: int, scale: int) -> int:
-    # oracle: floor(E(p/q) * scale) for p/q in lowest terms, from the digits
-    if p == 0:
-        return 0
-    num, den, k, r = 0, 1, 0, p
-    while r:
-        d, r = divmod(q, r)
-        k += 1
-        num = num * d + (k - 1 if k % 2 else -(k - 1))
-        den *= d
-    return (num * scale) // den
+#: the per-point oracle, shared by the tests that run it on the same grids
+grid_total_oracle = functools.cache(grid_total_per_point)
 
-
-def _grid_total_per_point(grid: int) -> int:
-    # oracle: expand every grid point k/grid from scratch
-    total = 0
-    for k in range(grid):
-        g = math.gcd(k, grid)
-        total += _esum_floor_scaled(k // g, grid // g, INTEGRAL_SCALE)
-    return total
+#: every small grid, powers of two, highly composite grids and primes; grids
+#: 64m - 1, 64m, 64m + 1 around the table's last root m (65536 and 65537
+#: complete m = 1024); 9999..10004, each residue mod 3 twice; highly
+#: composite grids with many k on a cylinder edge k = grid // d, where a
+#: shift r = grid mod k is 0; and grids whose total moves if the table's
+#: inexact flag e is dropped from the pair sum or from its negative-sign branch
+ORACLE_GRIDS = {
+    "small": range(1, 601),
+    "large": [4096, 5040, 65536, 65537],
+    "table_edge": [63999, 64000, 64001, 65535],
+    "leaf_cutoff": range(9999, 10005),
+    "digit_boundaries": [27720, 55440],
+    "inexact_flag": [674, 20144],
+}
 
 
 class TestIntegral:
@@ -74,33 +73,29 @@ class TestIntegral:
         rep = integrate_esum(grid)
         assert abs(rep.estimate - exact) <= rep.quantization
 
-    @pytest.mark.parametrize(
-        "grids",
-        [
-            range(1, 601),
-            [4096, 5040, 65536, 65537],
-            [63999, 64000, 64001, 65535],
-            range(9999, 10005),
-            [27720, 55440],
-            [674, 20144],
-        ],
-        ids=["small", "large", "table_edge", "leaf_cutoff", "digit_boundaries", "inexact_flag"],
-    )
+    @pytest.mark.parametrize("grids", ORACLE_GRIDS.values(), ids=list(ORACLE_GRIDS))
     def test_grid_total_matches_per_point_oracle(self, grids):
-        # every small grid, powers of two, highly composite grids and primes;
-        # grids 64m - 1, 64m, 64m + 1 around the table's last root m (65536
-        # and 65537 complete m = 1024); 9999..10004, each residue mod 3 twice;
-        # highly composite grids with many k on a cylinder edge k =
-        # grid // d, where a shift r = grid mod k is 0; and grids whose total
-        # moves if the table's inexact flag e is dropped from the pair sum or
-        # from its negative-sign branch
         for grid in grids:
-            assert _grid_total(grid) == _grid_total_per_point(grid), grid
+            assert _grid_total(grid) == grid_total_oracle(grid), grid
+
+    @pytest.mark.parametrize("leaf", [1, INTEGRAL_MAX_GRID + 1], ids=["split_all", "split_none"])
+    @pytest.mark.parametrize("grids", ORACLE_GRIDS.values(), ids=list(ORACLE_GRIDS))
+    def test_grid_total_matches_the_oracle_at_both_ends_of_the_split_rule(
+        self, grids, leaf, monkeypatch
+    ):
+        # _LEAF = 1 splits every cylinder until all its points read the table,
+        # so no point steps a shift chain; above the grid no cylinder splits,
+        # so every point outside the root's table interval steps one.  The
+        # strided pass meets its edges on these grids: g = 10^40 mod n = 0 at
+        # 4096, 64000 and 65536, and shifts r = 0 on the composite grids
+        monkeypatch.setattr(analysis, "_LEAF", leaf)
+        for grid in grids:
+            assert _grid_total(grid) == grid_total_oracle(grid), grid
 
     @given(st.integers(min_value=1, max_value=2 * 10**4))
     @settings(max_examples=30, deadline=None)
     def test_grid_total_matches_per_point_oracle_on_drawn_grids(self, grid):
-        assert _grid_total(grid) == _grid_total_per_point(grid)
+        assert _grid_total(grid) == grid_total_per_point(grid)
 
     def test_grid_total_pinned_on_large_grids(self):
         # too large for the per-point oracle: the prime 2^17 - 1, 3 * 2^16 and
@@ -116,7 +111,7 @@ class TestIntegral:
 
     def test_workers_argument_is_ignored(self):
         rep = integrate_esum(97)
-        assert rep.estimate == F(_grid_total_per_point(97), 97 * INTEGRAL_SCALE)
+        assert rep.estimate == F(grid_total_per_point(97), 97 * INTEGRAL_SCALE)
         with pytest.raises(TypeError):
             integrate_esum(97, workers=7)
 
@@ -146,7 +141,7 @@ class TestIntegral:
             p = rng.randint(0, q)
             g = math.gcd(p, q)
             value = esum(F(p, q))
-            kernel = F(_esum_floor_scaled(p // g, q // g, scale), scale)
+            kernel = F(esum_floor_scaled(p // g, q // g, scale), scale)
             assert 0 <= value - kernel < F(1, scale)
 
     def test_grid_validation(self):
@@ -189,6 +184,15 @@ class TestVariation:
         for n, cap in [(True, 3), (2.0, 3), (F(2), 3), (2, True), (2, 3.0), (2, F(3))]:
             with pytest.raises(DomainError):
                 variation_over_partition(n, cap)
+
+    @pytest.mark.parametrize("n,cap", [(1, 5694), (3, 3246), (268, 268), (3, 10**5)])
+    def test_mass_budget_refuses_before_any_work(self, n, cap, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("capped_masses started above the mass budget")
+
+        monkeypatch.setattr(analysis, "capped_masses", refuse)
+        with pytest.raises(ResourceLimitError, match="mass budget"):
+            variation_over_partition(n, cap)
 
     def test_variation_exceeds_any_candidate_bound(self):
         # unbounded variation: the order-n sum is n, so any bound V fails at
@@ -401,6 +405,16 @@ class TestHausdorffCoverSum:
         # certified true-sum separation while the brackets stay disjoint
         for a, b in zip(values[:3], values[1:4]):
             assert b.upper < a.lower
+
+    @pytest.mark.parametrize("n,cap", [(1, 5694), (3, 3246), (268, 268)])
+    def test_mass_budget_refuses_before_the_layer_table(self, n, cap, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cover sum started above the mass budget")
+
+        monkeypatch.setattr(analysis, "capped_masses", refuse)
+        monkeypatch.setattr(analysis, "Counter", refuse)
+        with pytest.raises(ResourceLimitError, match="mass budget"):
+            hausdorff_cover_sum(n, F(3, 2), cap)
 
     def test_validation(self):
         with pytest.raises(DomainError):

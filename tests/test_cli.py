@@ -171,6 +171,14 @@ class TestVariation:
         code, out, err = run(capsys, "variation", "--order", "2", "--digit-cap", "0")
         assert code == 1 and out == "" and "digit cap" in err
 
+    def test_mass_budget_exit_code(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("capped_masses started above the mass budget")
+
+        monkeypatch.setattr(analysis, "capped_masses", refuse)
+        code, out, err = run(capsys, "variation", "--order", "3", "--digit-cap", "100000")
+        assert code == 3 and out == "" and "mass budget" in err
+
 
 class TestDimension:
     def test_small_sweep_in_band(self, capsys):

@@ -21,7 +21,7 @@ from piercesum import (
 )
 from piercesum import intervals
 from piercesum.core import child_numerators, digit_numerators
-from piercesum.intervals import MAX_INTERVALS, check_interval_budget
+from piercesum.intervals import MAX_INTERVALS, _check_mass_budget, check_interval_budget
 
 unit_rationals = st.builds(
     lambda p, q: F(min(p, q), max(p, q, 1)),
@@ -150,6 +150,27 @@ class TestPartition:
         check_interval_budget(range(1, 19), 18, "edge")
         with pytest.raises(ResourceLimitError):
             check_interval_budget(range(1, 20), 19, "edge")
+
+
+class TestMassBudget:
+    def test_edge(self):
+        # n * cap * (cap + 200) <= 2^25 = 33,554,432
+        for n, cap in [(1, 5693), (3, 3245), (267, 267)]:
+            _check_mass_budget(n, cap, "edge")
+        for n, cap in [(1, 5694), (3, 3246), (268, 268)]:
+            with pytest.raises(ResourceLimitError, match="mass budget"):
+                _check_mass_budget(n, cap, "edge")
+
+    # C(cap, n) fits MAX_INTERVALS on these, so the mass budget is what refuses
+    @pytest.mark.parametrize("n,cap", [(1, 5694), (268, 268), (10**6, 10**6)])
+    def test_partition_refuses_before_any_work(self, n, cap, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("partition started above the mass budget")
+
+        monkeypatch.setattr(intervals, "capped_masses", refuse)
+        monkeypatch.setattr(intervals, "fundamental_interval", refuse)
+        with pytest.raises(ResourceLimitError, match="mass budget"):
+            partition(n, cap)
 
 
 class TestLocate:
