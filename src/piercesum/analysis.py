@@ -20,7 +20,7 @@ from .core import MAX_DEPTH, DepthOverflowError, DomainError, Rat, ResourceLimit
 from .core import as_rational, check_count, child_numerators
 from .errorsum import _cylinder_extrema, esum
 from .intervals import FundInterval, _check_mass_budget, _fundamental_interval
-from .intervals import capped_masses, side
+from .intervals import MAX_INTERVALS, capped_masses, side
 from .sequences import Enclosure, walk_prefixes
 
 
@@ -48,16 +48,25 @@ INTEGRAL_SCALE = 10**40
 
 INTEGRAL_TARGET = Fraction(-1, 8)
 
-#: Largest grid integrate_esum accepts; its table grows as grid/64.
+#: Largest grid integrate_esum accepts.  Its table grows as grid/40, about
+#: 53 B an entry (a 150-bit int, its list slot and a flag byte), so 89 MB at
+#: the cap; a table of grid/64 took 56 MB.
 INTEGRAL_MAX_GRID = 2**26
 
 #: Shifts r <= grid // (_DEEP_QUOTIENT + 1) are the table; any larger shift
-#: has next digit grid // r at most this.
-_DEEP_QUOTIENT = 63
+#: has next digit grid // r at most this.  A point read from the table in a
+#: strided pass is cheaper than one that steps its shift chain.  At grid
+#: 2,099,939, grid/40 strides 770,157 points and steps 411,229 chain links
+#: (grid/64: 609,918 and 737,844).  On the benchmark's integral workload
+#: (2-core VM, Python 3.11.7) that took 15-16% less CPU than grid/64 for
+#: 4.5% more peak memory; grid/36 took 19% less for 5.7% more, and the
+#: memory sets the size.
+_DEEP_QUOTIENT = 39
 
 #: The grid sum splits a Pierce cylinder by its next digit while it holds at
-#: least this many points.  At grids near 2^20 and 2^21, 1024 was as fast as
-#: 512 and 2048, and faster than 256 and 4096.
+#: least this many points.  At grids near 2^20 and 2^21, 1024 was faster
+#: than 256 and 4096 with a table of grid/64, and 2-4% faster than 512 and
+#: 2048 with a table of grid/40.
 _LEAF = 1024
 
 
@@ -353,7 +362,8 @@ def hausdorff_cover_sum(n: int, s, digit_cap: int) -> CoverSum:
     floor root at scale COVER_SCALE, and the brackets, times the length's
     multiplicity, are summed as integers.  The omitted prefixes contribute
     at most (sqrt(n^2+1) * max omitted length)^(s-1) times their total
-    length, which telescopes exactly.  The mass budget is checked first.
+    length, which telescopes exactly.  The mass budget is checked first,
+    and the product tables may hold at most MAX_INTERVALS entries.
     """
     check_count(n, 1, "order")
     check_count(digit_cap, n, "digit cap")  # room for an order-n prefix
@@ -376,6 +386,10 @@ def hausdorff_cover_sum(n: int, s, digit_cap: int) -> CoverSum:
         for j in range(min(n - 1, d), max(0, n - digit_cap + d - 1), -1):
             for prod, mult in layers[j - 1].items():
                 layers[j][prod * d] += mult
+        if sum(map(len, layers)) + len(multiplicity) > MAX_INTERVALS:
+            raise ResourceLimitError(
+                f"hausdorff_cover_sum exceeds MAX_INTERVALS = {MAX_INTERVALS} table entries"
+            )
 
     # each scaled term t = ((n^2+1)^p / L^(2p)) ^ (1/(2q)) * scale has floor root
     # r = iroot(shifted, 2q), shifted = floor(t^(2q)); t^(2q) < shifted + 1 <=

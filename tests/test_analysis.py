@@ -47,15 +47,19 @@ from oracles import grid_total_per_point, ivt_triples
 grid_total_oracle = functools.cache(grid_total_per_point)
 
 #: every small grid, powers of two, highly composite grids and primes; grids
-#: 64m - 1, 64m, 64m + 1 around the table's last root m (65536 and 65537
-#: complete m = 1024); 9999..10004, each residue mod 3 twice; highly
-#: composite grids with many k on a cylinder edge k = grid // d, where a
-#: shift r = grid mod k is 0; and grids whose total moves if the table's
-#: inexact flag e is dropped from the pair sum or from its negative-sign branch
+#: 64m - 1, 64m, 64m + 1 around the last root m of a table of grid/64 shifts
+#: (65536 and 65537 complete m = 1024), and the same edges qm - 1, qm, qm + 1
+#: and q*1024 - 1 of the table in use, of grid/q shifts (q = TABLE_DIVISOR);
+#: 9999..10004, each residue mod 3 twice; highly composite grids with many k
+#: on a cylinder edge k = grid // d, where a shift r = grid mod k is 0; and
+#: grids whose total moves if the table's inexact flag e is dropped from the
+#: pair sum or from its negative-sign branch
+TABLE_DIVISOR = analysis._DEEP_QUOTIENT + 1
 ORACLE_GRIDS = {
     "small": range(1, 601),
     "large": [4096, 5040, 65536, 65537],
     "table_edge": [63999, 64000, 64001, 65535],
+    "table_edge_now": [TABLE_DIVISOR * 1000 + e for e in (-1, 0, 1)] + [TABLE_DIVISOR * 1024 - 1],
     "leaf_cutoff": range(9999, 10005),
     "digit_boundaries": [27720, 55440],
     "inexact_flag": [674, 20144],
@@ -92,6 +96,20 @@ class TestIntegral:
         for grid in grids:
             assert _grid_total(grid) == grid_total_oracle(grid), grid
 
+    @pytest.mark.parametrize(
+        "quotient", [0, INTEGRAL_MAX_GRID], ids=["table_all", "table_root_only"]
+    )
+    @pytest.mark.parametrize("grids", ORACLE_GRIDS.values(), ids=list(ORACLE_GRIDS))
+    def test_grid_total_matches_the_oracle_at_both_ends_of_the_table_size(
+        self, grids, quotient, monkeypatch
+    ):
+        # _DEEP_QUOTIENT = 0 stores every shift, so no point steps a shift
+        # chain; at the grid cap the table holds only r = 0, so every point
+        # off it steps its chain all the way down to 0
+        monkeypatch.setattr(analysis, "_DEEP_QUOTIENT", quotient)
+        for grid in grids:
+            assert _grid_total(grid) == grid_total_oracle(grid), grid
+
     @given(st.integers(min_value=1, max_value=2 * 10**4))
     @settings(max_examples=30, deadline=None)
     def test_grid_total_matches_per_point_oracle_on_drawn_grids(self, grid):
@@ -108,6 +126,11 @@ class TestIntegral:
         # estimate * grid * INTEGRAL_SCALE of the benchmark's default-seed grid
         # 1052063, from perfbench's PINNED_INTEGRALS
         assert _grid_total(1052063) == -1315078749998811858225220352773550633375142679
+
+    def test_grid_total_pinned_on_the_benchmark_second_grid(self):
+        # PINNED_INTEGRALS[2099939] * 2099939 * INTEGRAL_SCALE, the benchmark's
+        # other default-seed grid
+        assert _grid_total(2099939) == -2624923749999404744614010216487240819853437360
 
     def test_workers_argument_is_ignored(self):
         rep = integrate_esum(97)
@@ -415,6 +438,23 @@ class TestHausdorffCoverSum:
         monkeypatch.setattr(analysis, "Counter", refuse)
         with pytest.raises(ResourceLimitError, match="mass budget"):
             hausdorff_cover_sum(n, F(3, 2), cap)
+
+    def test_table_budget_refuses_a_growing_table(self, monkeypatch):
+        # the order-8 sum at cap 20, the benchmark's largest, peaks at 25,645
+        # entries; with the budget at 2^15 it passes, at 2^4 the order-3
+        # tables pass 16 entries by digit 5 and refuse
+        monkeypatch.setattr(analysis, "MAX_INTERVALS", 2**15)
+        hausdorff_cover_sum(8, F(3, 2), 20)
+        monkeypatch.setattr(analysis, "MAX_INTERVALS", 2**4)
+        hausdorff_cover_sum(1, F(3, 2), 8)  # 9 entries
+        with pytest.raises(ResourceLimitError, match="hausdorff_cover_sum"):
+            hausdorff_cover_sum(3, F(3, 2), 20)
+
+    def test_table_budget_refuses_a_runaway_input(self):
+        # passes the mass budget, and its tables grew until the process was
+        # killed on an 8 GiB machine; the budget trips at digit 146
+        with pytest.raises(ResourceLimitError, match="MAX_INTERVALS"):
+            hausdorff_cover_sum(3, F(3, 2), 3245)
 
     def test_validation(self):
         with pytest.raises(DomainError):
