@@ -1,21 +1,23 @@
 """The integral of the error sum, unbounded variation, and IVT brackets.
 
-The integral over [0,1] is exactly -1/8; Riemann sums converge to it
-quickly.  Oscillations over order-n intervals add up to exactly n, so no
-total-variation bound survives.  Between any two suitable points, a
-branch-and-bound over fundamental intervals pins a solution of E(x) = y.
+The integral over [0,1] is exactly -1/8.  E(x) + E(1 - x) = -x below 1/2,
+so the left Riemann sum on N points is exactly -1/8 + 1/(4N) for even N
+and -1/8 + 1/(8N^2) for odd N.  Oscillations over order-n intervals add
+up to exactly n, so no total-variation bound survives.  Between any two
+suitable points, a branch-and-bound over fundamental intervals pins a
+solution of E(x) = y.
 """
 
 from fractions import Fraction as F
 
 from piercesum import esum, integrate_esum, ivt_root, variation_over_partition
 
-for exponent in (10, 14, 18):
-    rep = integrate_esum(2**exponent)
-    print(
-        f"grid 2^{exponent:>2}: estimate {float(rep.estimate):+.9f}   "
-        f"deviation from -1/8: {float(rep.deviation):+.2e}"
-    )
+print("left Riemann sums R(N), exact, against the parity formula:")
+grids = [(f"2^{e:>2}", 2**e) for e in (10, 14, 18)] + [("3^ 7", 3**7), ("3^11", 3**11)]
+for label, grid in grids:
+    rep = integrate_esum(grid)
+    formula = F(-1, 8) + (F(1, 4 * grid) if grid % 2 == 0 else F(1, 8 * grid**2))
+    print(f"  grid {label}: R(N) = {rep.estimate}   formula {formula}   equal: {rep.estimate == formula}")
 
 print("\noscillation sums over order-n partitions (exactly n each):")
 for n in range(1, 6):

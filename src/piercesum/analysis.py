@@ -1,9 +1,9 @@
 """Higher-level numerics on top of the exact primitives.
 
-Covers the Riemann integral of the error-sum function, variation growth
-over digit partitions, intermediate-value root localization by interval
-branch-and-bound, certified covering-sum diagnostics, and box-counting
-dimension estimation of the function's graph.
+Covers the Riemann sums of the error-sum function, in closed form,
+variation growth over digit partitions, intermediate-value root
+localization by interval branch-and-bound, certified covering-sum
+diagnostics, and box-counting dimension estimation of the function's graph.
 """
 
 from __future__ import annotations
@@ -36,107 +36,7 @@ IVT_MAX_NODES = 10**6  # nodes one ivt_root call may visit; typical calls visit 
 # Riemann integral of the error-sum function
 # ---------------------------------------------------------------------------
 
-#: Fixed-point scale of the grid sum.  Summing ~10^6 exact values directly
-#: would blow up the common denominator, so each point value is floored to a
-#: multiple of 10^-40 first; the grid average then carries a quantization
-#: error below 10^-40, dozens of orders under any tolerance here.  The floors
-#: come from the shift recursion on the grid: with d = N // k, r = N mod k
-#: and H(k) = S*k + S*N*E(k/N), H(k) = S*k - H(r)/d.  A table holds
-#: floor(H(r)) for small r, and each pair of points k, N - k is read off it
-#: through the Pierce cylinder of k/N (see _grid_total).
-INTEGRAL_SCALE = 10**40
-
 INTEGRAL_TARGET = Fraction(-1, 8)
-
-#: Largest grid integrate_esum accepts.  Its table grows as grid/40, about
-#: 53 B an entry (a 150-bit int, its list slot and a flag byte), so 89 MB at
-#: the cap; a table of grid/64 took 56 MB.
-INTEGRAL_MAX_GRID = 2**26
-
-#: Shifts r <= grid // (_DEEP_QUOTIENT + 1) are the table; any larger shift
-#: has next digit grid // r at most this.  A point read from the table in a
-#: strided pass is cheaper than one that steps its shift chain.  At grid
-#: 2,099,939, grid/40 strides 770,157 points and steps 411,229 chain links
-#: (grid/64: 609,918 and 737,844).  On the benchmark's integral workload
-#: (2-core VM, Python 3.11.7) that took 15-16% less CPU than grid/64 for
-#: 4.5% more peak memory; grid/36 took 19% less for 5.7% more, and the
-#: memory sets the size.
-_DEEP_QUOTIENT = 39
-
-#: The grid sum splits a Pierce cylinder by its next digit while it holds at
-#: least this many points.  At grids near 2^20 and 2^21, 1024 was faster
-#: than 256 and 4096 with a table of grid/64, and 2-4% faster than 512 and
-#: 2048 with a table of grid/40.
-_LEAF = 1024
-
-
-def _grid_total(n: int) -> int:
-    """Sum of floor(INTEGRAL_SCALE * E(k/n)) over k = 0 .. n-1.
-
-    E(0) = E(1/2) = 0, and E(x) + E(1 - x) = -x for x < 1/2, so only pairs
-    k, n - k with 2k < n add anything.  The k whose first t digits are
-    d_1..d_t form a cylinder, a k-interval on which the shift r = p*k + b
-    and the numerator w = u*k + v are linear, with p = (-1)^t d_1...d_t and
-    p*z = S*w + H(r), z = S*n*E(k/n).  With P = |p|, m = w*sign(p) and x =
-    floor(sign(p)*H(r)) from the table, the pair adds
-    -(S // n)*k - ceil((e + (S*m + x) mod P*n + (S mod n)*k*P) / (P*n)),
-    e the table's inexact flag; the first terms sum in closed form.  The k
-    with r in the table form one k-interval, read at stride P with S*m mod
-    P*n and (S mod n)*k*P stepped by addition: one remainder per pair.  A
-    cylinder of _LEAF or more points splits its other k by their next
-    digit; in a smaller one each steps r -> n mod r down to the table.
-    """
-    scale, stored = INTEGRAL_SCALE, n // (_DEEP_QUOTIENT + 1)
-    # floor(H(r)) and ceil(H(r)) - floor(H(r)) for r <= stored; H(0) = 0
-    lo, inexact = [0] * (stored + 1), bytearray(stored + 1)
-    for k in range(1, stored + 1):
-        d, r = divmod(n, k)
-        c, f = -((-lo[r] - inexact[r]) // d), lo[r] // d
-        lo[k], inexact[k] = scale * k - c, c - f
-    half, g = (n - 1) // 2, scale % n
-    # cylinders (k0, k1, p, b, u, v), walked depth first; digit d maps r to n - d*r
-    cylinders, ceils = [(1, half, 1, 0, -1, 0)], 0  # ceils stays a small int
-    while cylinders:
-        k0, k1, p, b, u, v = cylinders.pop()
-        r0, r1 = sorted((p * k0 + b, p * k1 + b))
-        big_p = abs(p)
-        in_table = (min(r1, stored) - r0) // big_p + 1 if r0 <= stored else 0  # how many k
-        ka, kb = (k0 + in_table, k1) if p > 0 else (k0, k1 - in_table)  # the other k
-        if k1 - k0 + 1 >= _LEAF:
-            # the next digit n // r is monotone in r, so each digit takes one k-interval
-            for d in range(n // r1, n // max(r0, stored + 1) + 1) if r1 > stored else ():
-                lo_r, hi_r = n // (d + 1) + 1, n // d  # the k with lo_r <= p*k + b <= hi_r
-                ja, jb = (lo_r, hi_r) if p > 0 else (hi_r, lo_r)
-                ja, jb = max(k0, -((b - ja) // p)), min(k1, (jb - b) // p)
-                if ja <= jb:
-                    cylinders.append((ja, jb, -d * p, n - d * b, -d * (u + p), -d * (v + b)))
-        else:
-            for k in range(ka, kb + 1):
-                r, w, q = p * k + b, u * k + v, p
-                while r > stored:
-                    d = n // r
-                    r, w, q = n - d * r, -d * (w + r), -d * q
-                e, x = inexact[r], lo[r]
-                if q < 0:
-                    q, w, x = -q, -w, -x - e
-                pn = q * n
-                ceils += (e + (scale * w + x) % pn + g * q * k + pn - 1) // pn
-        if in_table:
-            # r = r0, r0 + P, ...: k steps by sign(p), so m = w*sign(p) steps by u
-            k, pn = (k0 if p > 0 else k1), big_p * n
-            sm, step = scale * (u * k + v) * (1 if p > 0 else -1) % pn, scale * u % pn
-            gk, g_step = g * big_p * k + pn - 1, g * p
-            shifts = range(r0, r0 + in_table * big_p, big_p)
-            pairs = zip(map(lo.__getitem__, shifts), map(inexact.__getitem__, shifts))
-            if p > 0:
-                for x, e in pairs:
-                    ceils += (e + (sm + x) % pn + gk) // pn
-                    sm, gk = sm + step, gk + g_step
-            else:
-                for x, e in pairs:
-                    ceils += (e + (sm - x - e) % pn + gk) // pn
-                    sm, gk = sm + step, gk + g_step
-    return -(scale // n) * (half * (half + 1) // 2) - ceils
 
 
 @dataclass(frozen=True)
@@ -149,24 +49,23 @@ class IntegralReport:
 
 
 def integrate_esum(grid: int) -> IntegralReport:
-    """Left-endpoint Riemann sum of the error-sum function over k/grid.
+    """Left-endpoint Riemann sum R(N) = (1/N) sum_{k<N} E(k/N), N = grid, exactly.
 
-    Every point value is floored exactly to a multiple of 1/INTEGRAL_SCALE,
-    and the floors sum to an integer, so quantization bounds the only error.
-    The points k/grid and 1 - k/grid are summed as one pair, read off a
-    table of small shifts with one big-integer remainder; the pairs of a
-    Pierce cylinder whose shift is in the table take one strided pass over
-    it, and large cylinders split by their next digit (see _grid_total).
+    E(0) = E(1/2) = 0.  For 0 < x < 1/2, 1 - x has the digits of x behind a
+    first digit 1, so the order-1 recursion at digit 1 gives E(x) + E(1 - x)
+    = -x.  The points k/N and 1 - k/N pair off to -k/N for 1 <= k <= h =
+    (N - 1) // 2, and R(N) = -h(h + 1)/(2N^2): -1/8 + 1/(4N) for even N and
+    -1/8 + 1/(8N^2) for odd N.  No point is evaluated or rounded, so the
+    quantization is 0 and any grid costs a few big-int operations.
     """
-    if check_count(grid, 1, "grid") > INTEGRAL_MAX_GRID:
-        raise ResourceLimitError(f"grid {grid} exceeds the cap {INTEGRAL_MAX_GRID}")
-    estimate = Fraction(_grid_total(grid), grid * INTEGRAL_SCALE)
+    half = (check_count(grid, 1, "grid") - 1) // 2
+    estimate = Fraction(-half * (half + 1), 2 * grid * grid)
     return IntegralReport(
         grid=grid,
         estimate=estimate,
         target=INTEGRAL_TARGET,
         deviation=estimate - INTEGRAL_TARGET,
-        quantization=Fraction(1, INTEGRAL_SCALE),
+        quantization=Fraction(0),
     )
 
 

@@ -3,9 +3,9 @@
 Each oracle takes the definitional route to a value that the library
 computes a faster way: the digit kernels without their memos, the point
 queries in ``Fraction`` arithmetic instead of integer numerators, E* from
-its defining sum instead of its closed form, the integral's grid sum point
-by point instead of through Pierce cylinders and a shift table, and the
-right side of the paper's recursion identity, whose callers check that it
+its defining sum instead of its closed form, the integral's Riemann sum
+point by point, floored at a fixed scale, instead of in closed form, and
+the right side of the paper's recursion identity, whose callers check that it
 equals E(x).
 The input draws that several test files share are here too, written once.
 
@@ -22,7 +22,6 @@ from fractions import Fraction as F
 from piercesum import DEFAULT_DEPTH, CylinderExtrema, Enclosure, FundInterval, JumpReport
 from piercesum import PierceSeq, constant_stream, esum, estar_digits, evaluate_digits, expand
 from piercesum import hat_prime, shift_power
-from piercesum.analysis import INTEGRAL_SCALE
 from piercesum.core import check_count, child_numerators
 from piercesum.intervals import interval_length
 from piercesum.sequences import as_sequence
@@ -192,10 +191,16 @@ def esum_floor_scaled(p: int, q: int, scale: int) -> int:
     return (num * scale) // den
 
 
+#: Fixed-point scale of ``grid_total_per_point``: each point value is floored
+#: to a multiple of 1/GRID_SCALE, so the grid's N floors sum to an integer
+#: within N of GRID_SCALE times the exact sum, without big denominators.
+GRID_SCALE = 10**40
+
+
 def grid_total_per_point(grid: int) -> int:
-    # oracle: expand every grid point k/grid from scratch
+    # oracle: sum of floor(GRID_SCALE * E(k/grid)), each point expanded from scratch
     total = 0
     for k in range(grid):
         g = math.gcd(k, grid)
-        total += esum_floor_scaled(k // g, grid // g, INTEGRAL_SCALE)
+        total += esum_floor_scaled(k // g, grid // g, GRID_SCALE)
     return total

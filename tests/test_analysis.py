@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import math
 import os
@@ -36,34 +35,31 @@ from piercesum import (
     variation_over_partition,
 )
 from piercesum import analysis, certify
-from piercesum.analysis import INTEGRAL_MAX_GRID, INTEGRAL_SCALE, _grid_total
 from piercesum.certify import exp_enclosure, iroot, root_enclosure
 
 from oracles import cylinder_extrema_oracle, esum_floor_scaled, fundamental_interval_oracle
-from oracles import grid_total_per_point, ivt_triples
+from oracles import GRID_SCALE, grid_total_per_point, ivt_triples
 
 
-#: the per-point oracle, shared by the tests that run it on the same grids
-grid_total_oracle = functools.cache(grid_total_per_point)
-
-#: every small grid, powers of two, highly composite grids and primes; grids
-#: 64m - 1, 64m, 64m + 1 around the last root m of a table of grid/64 shifts
-#: (65536 and 65537 complete m = 1024), and the same edges qm - 1, qm, qm + 1
-#: and q*1024 - 1 of the table in use, of grid/q shifts (q = TABLE_DIVISOR);
-#: 9999..10004, each residue mod 3 twice; highly composite grids with many k
-#: on a cylinder edge k = grid // d, where a shift r = grid mod k is 0; and
-#: grids whose total moves if the table's inexact flag e is dropped from the
-#: pair sum or from its negative-sign branch
-TABLE_DIVISOR = analysis._DEEP_QUOTIENT + 1
+#: every small grid; powers of two, highly composite grids and primes;
+#: 64m - 1, 64m, 64m + 1 and 40m - 1, 40m, 40m + 1 at m = 1000, and 65535,
+#: 40959 just below m = 1024; 9999..10004, each residue mod 3 twice; highly
+#: composite grids with many k on a cylinder edge k = grid // d; 674, 20144
 ORACLE_GRIDS = {
     "small": range(1, 601),
     "large": [4096, 5040, 65536, 65537],
-    "table_edge": [63999, 64000, 64001, 65535],
-    "table_edge_now": [TABLE_DIVISOR * 1000 + e for e in (-1, 0, 1)] + [TABLE_DIVISOR * 1024 - 1],
-    "leaf_cutoff": range(9999, 10005),
+    "edges_64m": [63999, 64000, 64001, 65535],
+    "edges_40m": [39999, 40000, 40001, 40959],
+    "near_10000": range(9999, 10005),
     "digit_boundaries": [27720, 55440],
-    "inexact_flag": [674, 20144],
+    "extra": [674, 20144],
 }
+
+
+def assert_floors_bracket(grid, floors):
+    # the grid's N point floors lie in (scaled - N, scaled], scaled = N * GRID_SCALE * R(N)
+    scaled = grid * GRID_SCALE * integrate_esum(grid).estimate
+    assert floors <= scaled < floors + grid, grid
 
 
 class TestIntegral:
@@ -71,80 +67,73 @@ class TestIntegral:
         assert integrate_esum(1).estimate == 0
         assert integrate_esum(2).estimate == 0  # esum(0) = esum(1/2) = 0
 
-    def test_matches_exact_riemann_sum_on_small_grid(self):
-        grid = 64
-        exact = sum((esum(F(k, grid)) for k in range(grid)), F(0)) / grid
-        rep = integrate_esum(grid)
-        assert abs(rep.estimate - exact) <= rep.quantization
+    def test_equals_the_exact_riemann_sum_on_small_grids(self):
+        for grid in range(1, 121):
+            exact = sum((esum(F(k, grid)) for k in range(grid)), F(0))
+            rep = integrate_esum(grid)
+            assert grid * rep.estimate == exact, grid
+            assert rep.quantization == 0
 
     @pytest.mark.parametrize("grids", ORACLE_GRIDS.values(), ids=list(ORACLE_GRIDS))
-    def test_grid_total_matches_per_point_oracle(self, grids):
+    def test_per_point_floors_bracket_the_closed_form(self, grids):
         for grid in grids:
-            assert _grid_total(grid) == grid_total_oracle(grid), grid
+            assert_floors_bracket(grid, grid_total_per_point(grid))
 
-    @pytest.mark.parametrize("leaf", [1, INTEGRAL_MAX_GRID + 1], ids=["split_all", "split_none"])
     @pytest.mark.parametrize("grids", ORACLE_GRIDS.values(), ids=list(ORACLE_GRIDS))
-    def test_grid_total_matches_the_oracle_at_both_ends_of_the_split_rule(
-        self, grids, leaf, monkeypatch
-    ):
-        # _LEAF = 1 splits every cylinder until all its points read the table,
-        # so no point steps a shift chain; above the grid no cylinder splits,
-        # so every point outside the root's table interval steps one.  The
-        # strided pass meets its edges on these grids: g = 10^40 mod n = 0 at
-        # 4096, 64000 and 65536, and shifts r = 0 on the composite grids
-        monkeypatch.setattr(analysis, "_LEAF", leaf)
+    def test_grid_points_pair_off_under_the_reflection(self, grids):
+        # the step the closed form takes on each grid: k/N and (N - k)/N sum to
+        # -k/N for 1 <= k <= h, and 0 and (for even N) 1/2 stand alone at 0.
+        # Every k below 400, then the cylinder edges k = N // d, N // d + 1
+        # (d = 3..400) and 200 drawn k, evaluated exactly
+        rng = random.Random(31)
         for grid in grids:
-            assert _grid_total(grid) == grid_total_oracle(grid), grid
-
-    @pytest.mark.parametrize(
-        "quotient", [0, INTEGRAL_MAX_GRID], ids=["table_all", "table_root_only"]
-    )
-    @pytest.mark.parametrize("grids", ORACLE_GRIDS.values(), ids=list(ORACLE_GRIDS))
-    def test_grid_total_matches_the_oracle_at_both_ends_of_the_table_size(
-        self, grids, quotient, monkeypatch
-    ):
-        # _DEEP_QUOTIENT = 0 stores every shift, so no point steps a shift
-        # chain; at the grid cap the table holds only r = 0, so every point
-        # off it steps its chain all the way down to 0
-        monkeypatch.setattr(analysis, "_DEEP_QUOTIENT", quotient)
-        for grid in grids:
-            assert _grid_total(grid) == grid_total_oracle(grid), grid
+            half = (grid - 1) // 2
+            assert esum(F(0, grid)) == 0
+            if grid % 2 == 0:
+                assert esum(F(grid // 2, grid)) == 0
+            ks = set(range(1, min(half, 399) + 1))
+            ks.update(k for d in range(3, 401) for k in (grid // d, grid // d + 1))
+            ks.update(rng.randint(1, half) for _ in range(200 if half else 0))
+            for k in sorted(k for k in ks if 1 <= k <= half):
+                assert esum(F(k, grid)) + esum(F(grid - k, grid)) == F(-k, grid), (grid, k)
 
     @given(st.integers(min_value=1, max_value=2 * 10**4))
     @settings(max_examples=30, deadline=None)
-    def test_grid_total_matches_per_point_oracle_on_drawn_grids(self, grid):
-        assert _grid_total(grid) == grid_total_per_point(grid)
+    def test_per_point_floors_bracket_the_closed_form_on_drawn_grids(self, grid):
+        assert_floors_bracket(grid, grid_total_per_point(grid))
 
-    def test_grid_total_pinned_on_large_grids(self):
-        # too large for the per-point oracle: the prime 2^17 - 1, 3 * 2^16 and
-        # the prime 262139 near 2^18, pinned from the per-root walk
-        assert _grid_total(131071) == -163838749990463184075806242418231340266028167
-        assert _grid_total(196608) == -245757500000000000000000000000000000000097302
-        assert _grid_total(262139) == -327673749995231537466763816143343798519237191
+    # per-point floor sums at GRID_SCALE, stored because the oracle is too
+    # slow at these sizes: the prime 2^17 - 1, 3 * 2^16, the prime 262139
+    # near 2^18, and the benchmark's two default-seed grids, whose estimates
+    # perfbench pins as these sums over grid * GRID_SCALE
+    @pytest.mark.parametrize(
+        "grid,floors",
+        [
+            (131071, -163838749990463184075806242418231340266028167),
+            (196608, -245757500000000000000000000000000000000097302),
+            (262139, -327673749995231537466763816143343798519237191),
+            (1052063, -1315078749998811858225220352773550633375142679),
+            (2099939, -2624923749999404744614010216487240819853437360),
+        ],
+        ids=["prime_2_17_minus_1", "3_times_2_16", "prime_262139", "benchmark", "benchmark_second"],
+    )
+    def test_stored_floor_sums_bracket_the_closed_form(self, grid, floors):
+        assert_floors_bracket(grid, floors)
 
-    def test_grid_total_pinned_on_the_benchmark_grid(self):
-        # estimate * grid * INTEGRAL_SCALE of the benchmark's default-seed grid
-        # 1052063, from perfbench's PINNED_INTEGRALS
-        assert _grid_total(1052063) == -1315078749998811858225220352773550633375142679
-
-    def test_grid_total_pinned_on_the_benchmark_second_grid(self):
-        # PINNED_INTEGRALS[2099939] * 2099939 * INTEGRAL_SCALE, the benchmark's
-        # other default-seed grid
-        assert _grid_total(2099939) == -2624923749999404744614010216487240819853437360
+    def test_deviation_is_the_parity_offset_at_any_size(self):
+        # R(N) + 1/8 is 1/(4N) for even N and 1/(8N^2) for odd N; the last
+        # two grids have a thousand digits
+        for grid in [*range(1, 200), 2**20, 2**20 + 1, 10**999, 10**999 + 7]:
+            rep = integrate_esum(grid)
+            offset = F(1, 4 * grid) if grid % 2 == 0 else F(1, 8 * grid**2)
+            assert rep.grid == grid and rep.deviation == offset and rep.quantization == 0
+            assert rep.target == F(-1, 8) and rep.estimate == rep.target + rep.deviation
 
     def test_workers_argument_is_ignored(self):
         rep = integrate_esum(97)
-        assert rep.estimate == F(grid_total_per_point(97), 97 * INTEGRAL_SCALE)
+        assert 97 * rep.estimate == sum((esum(F(k, 97)) for k in range(97)), F(0))
         with pytest.raises(TypeError):
             integrate_esum(97, workers=7)
-
-    def test_grid_cap_raises_before_any_work(self, monkeypatch):
-        def refuse(grid):
-            raise AssertionError("grid sum started above the cap")
-
-        monkeypatch.setattr(analysis, "_grid_total", refuse)
-        with pytest.raises(ResourceLimitError):
-            integrate_esum(INTEGRAL_MAX_GRID + 1)
 
     def test_convergence_track(self):
         rep = integrate_esum(2**14)
@@ -158,27 +147,22 @@ class TestIntegral:
 
     def test_scaled_kernel_agrees_with_exact_esum(self):
         rng = random.Random(11)
-        scale = INTEGRAL_SCALE
         for _ in range(200):
             q = rng.randint(1, 10**6)
             p = rng.randint(0, q)
             g = math.gcd(p, q)
             value = esum(F(p, q))
-            kernel = F(esum_floor_scaled(p // g, q // g, scale), scale)
-            assert 0 <= value - kernel < F(1, scale)
+            kernel = F(esum_floor_scaled(p // g, q // g, GRID_SCALE), GRID_SCALE)
+            assert 0 <= value - kernel < F(1, GRID_SCALE)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             integrate_esum(0)
 
-    def test_non_integer_grid_rejected_before_any_work(self, monkeypatch):
-        def refuse(grid):
-            raise AssertionError("grid sum started on a non-int grid")
-
-        monkeypatch.setattr(analysis, "_grid_total", refuse)
-        for grid in (True, 97.0, F(97)):
-            with pytest.raises(DomainError):
-                integrate_esum(grid)
+    @pytest.mark.parametrize("grid", [True, 97.0, F(97), "97", None], ids=repr)
+    def test_non_integer_grids_rejected(self, grid):
+        with pytest.raises(DomainError):
+            integrate_esum(grid)
 
 
 class TestVariation:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -130,14 +131,23 @@ class TestIntegral:
         )
         assert code == 2 and payload["within_tolerance"] is False
 
-    def test_grid_cap_exit_code(self, capsys, monkeypatch):
-        def refuse(grid):
-            raise AssertionError("grid sum started above the cap")
+    @pytest.mark.parametrize("grid", [1, 3, 4, 97, 1000, 1001, 2**20, 2**20 + 1])
+    def test_estimate_is_the_exact_riemann_sum(self, capsys, grid):
+        # R(N) = -h(h + 1)/(2N^2), h = (N - 1) // 2, printed as p/q in lowest terms
+        half = (grid - 1) // 2
+        estimate = F(-half * (half + 1), 2 * grid * grid)
+        code, payload, _ = run_json(capsys, "integral", "--grid", str(grid))
+        assert code == 0 and payload["grid"] == grid and payload["quantization"] == "0/1"
+        assert payload["estimate"] == f"{estimate.numerator}/{estimate.denominator}"
+        deviation = estimate + F(1, 8)
+        assert payload["deviation"] == f"{deviation.numerator}/{deviation.denominator}"
 
-        monkeypatch.setattr(analysis, "_grid_total", refuse)
-        grid = str(analysis.INTEGRAL_MAX_GRID + 1)
-        code, _, err = run(capsys, "integral", "--grid", grid)
-        assert code == 3 and "resource limit" in err
+    def test_grid_past_2_to_the_26_answers(self, capsys):
+        # no grid cap: the closed form answers any grid at once
+        grid = 2**26 + 1
+        code, payload, _ = run_json(capsys, "integral", "--grid", str(grid))
+        assert code == 0 and payload["grid"] == grid and payload["quantization"] == "0/1"
+        assert payload["deviation"] == f"1/{8 * grid**2}"
 
     def test_bad_tolerance_fails_before_the_grid_sum(self, capsys, monkeypatch):
         def refuse(grid):
@@ -151,7 +161,7 @@ class TestIntegral:
         def refuse(grid):
             raise AssertionError("grid sum started under a tolerance that cannot hold")
 
-        monkeypatch.setattr(analysis, "_grid_total", refuse)
+        monkeypatch.setattr(analysis, "integrate_esum", refuse)
         code, out, err = run(capsys, "integral", "--grid", "10", "--tolerance=-1/200")
         assert code == 1 and out == "" and "domain error:" in err and "tolerance" in err
 

@@ -34,6 +34,7 @@ def test_integral_and_variation_demo():
     run = run_demo("04_integral_and_variation.py")
     assert run.returncode == 0, run.stderr
     assert run.stdout.count("grid 2^") == 3
+    assert run.stdout.count("equal: True") == 5
     assert run.stdout.count("bracket: ") == 1
 
 

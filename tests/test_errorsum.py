@@ -109,8 +109,7 @@ class TestEstarByDefinition:
 class TestEsum:
     def test_examples(self):
         assert esum(F(3, 8)) == F(-1, 8)
-        assert esum(0) == 0
-        assert esum(F(1, 2)) == 0
+        assert esum(0) == esum(F(1, 2)) == 0  # the two unpaired grid points
         assert esum(1) == 0
 
     @given(unit_rationals)
@@ -122,12 +121,40 @@ class TestEsum:
         assert esum(x) == direct
         assert F(-1, 2) < esum(x) <= 0
 
-    @given(unit_rationals.filter(lambda x: x != F(1, 2)))
+    @given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=1, max_value=10**12))
+    @example(1, 1)  # x = 1/3
+    @example(10**12, 1)  # x just below 1/2
     @settings(max_examples=300)
-    def test_sum_with_the_reflection_is_minus_the_smaller(self, x):
-        # for x < 1/2 the first digit of 1 - x is 1 and its shift is x,
-        # so E(1 - x) = -x - E(x): the pairing the grid sum rests on
-        assert esum(x) + esum(1 - x) == -min(x, 1 - x)
+    def test_sum_with_the_reflection_is_minus_the_smaller(self, a, b):
+        # every rational 0 < x < 1/2 is a/(2a + b) with a, b >= 1.  The first
+        # digit of 1 - x is 1 and its shift is x, so E(1 - x) = -x - E(x);
+        # with E(0) = E(1/2) = 0 this is all integrate_esum's closed form uses
+        x = F(a, 2 * a + b)
+        assert esum(x) + esum(1 - x) == -x
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            F(1, 3),
+            F(1, 4),
+            F(1, 1000),
+            F(1, 3) - F(1, 10**9),
+            F(1, 3) + F(1, 10**9),
+            F(1, 2) - F(1, 10**40),
+            F(1, 10**60),
+            F(2, 5),
+            F(3, 8),
+            F(355, 1130),
+        ],
+        ids=str,
+    )
+    def test_reflection_pins(self, x):
+        # cylinder edges 1/(k + 1), points just either side of 1/3, both ends
+        # of (0, 1/2) and a few interior points: 1 - x is (1,) followed by the
+        # digits of x, and its error sum is -x - E(x)
+        assert 0 < x < F(1, 2)
+        assert expand(1 - x) == (1,) + expand(x)
+        assert esum(x) + esum(1 - x) == -x
 
     def test_one_half_is_its_own_reflection(self):
         # 1/2 and 1 - 1/2 share the digits (2,), so the pair sum is 0, not

@@ -35,8 +35,8 @@ GOLDEN = {
     ),
     "integral": (
         ["integral", "--grid", "1000"],
-        404,
-        "7b83e4d81d0b443dfc95fe950bcd20ecfda9660e0fc6b1f157410bcfea680fa4",
+        205,
+        "fca23cc06a2cf3c6e9e01cd9f5868cfd220c74c029feb7092b99943f775869bc",
     ),
     "variation": (
         ["variation", "--order", "3", "--digit-cap", "20"],
