@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +19,7 @@ from .core import MAX_DEPTH, DepthOverflowError, DomainError, Rat, ResourceLimit
 from .core import as_rational, check_count, child_numerators
 from .errorsum import _cylinder_extrema, esum
 from .intervals import FundInterval, _check_mass_budget, _fundamental_interval
-from .intervals import MAX_INTERVALS, capped_masses, side
+from .intervals import capped_masses, side
 from .sequences import Enclosure, walk_prefixes
 
 
@@ -254,15 +253,17 @@ class CoverSum:
 def hausdorff_cover_sum(n: int, s, digit_cap: int) -> CoverSum:
     """Cover sum for the order-n box covering of the graph, exponent s >= 1.
 
-    A term depends only on its interval length, so the prefixes are
-    grouped by length through a table of subset digit products, and the
-    cost grows with the number of distinct lengths.  Fractional powers of
-    rationals are irrational, so each length's term is bracketed by one
-    floor root at scale COVER_SCALE, and the brackets, times the length's
-    multiplicity, are summed as integers.  The omitted prefixes contribute
-    at most (sqrt(n^2+1) * max omitted length)^(s-1) times their total
-    length, which telescopes exactly.  The mass budget is checked first,
-    and the product tables may hold at most MAX_INTERVALS entries.
+    An order-n prefix ending in d has length 1/(P d(d+1)), P the product
+    of its first n-1 digits, so the capped sum is sum_{d<=cap} e_{n-1}(d)
+    * (sqrt(n^2+1) / (d(d+1)))^s, with e_j(d) the elementary symmetric sums
+    of 1^-s, ..., (d-1)^-s, stepped as e_j(d+1) = e_j(d) + e_{j-1}(d) d^-s.
+    Fractional powers of rationals are irrational, so each d^-s and each
+    per-d factor is bracketed by a floor root r <= scale * x < r + 1 at
+    scale COVER_SCALE, and e_j is carried as a floored lower and a ceiled
+    upper integer; every term is positive, so the two stay a bracket.  The
+    omitted prefixes contribute at most (sqrt(n^2+1) * max omitted
+    length)^(s-1) times their total length, which telescopes exactly.  The
+    mass budget is checked first.
     """
     check_count(n, 1, "order")
     check_count(digit_cap, n, "digit cap")  # room for an order-n prefix
@@ -273,31 +274,20 @@ def hausdorff_cover_sum(n: int, s, digit_cap: int) -> CoverSum:
     p, q, scale = s.numerator, s.denominator, COVER_SCALE
     diam_sq = n * n + 1  # diameter^2 = (n^2+1) * length^2
 
-    # an order-n prefix ending in d has length exactly 1/L, L = prod * d(d+1)
-    # with prod the product of its first n-1 digits, so terms depend on L only;
-    # layers[j] counts the digit products of the j-subsets of 1..d-1; a j-subset
-    # taking d still reaches n-1 digits below the cap only if j >= n - cap + d
-    layers = [Counter({1: 1})] + [Counter() for _ in range(n - 1)]
-    multiplicity = Counter()
+    # floor roots as in iroot: t^(2q) <= floor(x^(2q)) < (t+1)^(2q) for the
+    # scaled term x = scale * ((n^2+1)^p / (d(d+1))^(2p))^(1/(2q)), so t <= x < t + 1
+    numerator, scale_q = diam_sq**p * scale ** (2 * q), scale**q
+    lo = [scale] + [0] * (n - 1)  # scale * e_j(d), j < n, floored
+    hi = lo.copy()  # and ceiled
+    lo_total = hi_total = 0  # x -= -y // scale adds y / scale ceiled
     for d in range(1, digit_cap + 1):
-        for prod, mult in layers[n - 1].items():
-            multiplicity[prod * d * (d + 1)] += mult
-        for j in range(min(n - 1, d), max(0, n - digit_cap + d - 1), -1):
-            for prod, mult in layers[j - 1].items():
-                layers[j][prod * d] += mult
-        if sum(map(len, layers)) + len(multiplicity) > MAX_INTERVALS:
-            raise ResourceLimitError(
-                f"hausdorff_cover_sum exceeds MAX_INTERVALS = {MAX_INTERVALS} table entries"
-            )
-
-    # each scaled term t = ((n^2+1)^p / L^(2p)) ^ (1/(2q)) * scale has floor root
-    # r = iroot(shifted, 2q), shifted = floor(t^(2q)); t^(2q) < shifted + 1 <=
-    # (r+1)^(2q), so r <= t < r + 1, and the multiplicities count C(cap, n) prefixes
-    numerator = diam_sq**p * scale ** (2 * q)
-    lo_total = sum(
-        mult * iroot(numerator // L ** (2 * p), 2 * q) for L, mult in multiplicity.items()
-    )
-    hi_total = lo_total + math.comb(digit_cap, n)
+        t = iroot(numerator // (d * (d + 1)) ** (2 * p), 2 * q)
+        lo_total += lo[n - 1] * t // scale
+        hi_total -= -hi[n - 1] * (t + 1) // scale
+        r = iroot(scale_q // d**p, q)  # r <= scale * d^-s < r + 1
+        for j in range(n - 1, 0, -1):
+            lo[j] += lo[j - 1] * r // scale
+            hi[j] -= -hi[j - 1] * (r + 1) // scale
     residual = capped_masses(n, digit_cap)[1]
 
     # every omitted interval has some digit > cap, so its length is at most

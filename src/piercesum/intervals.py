@@ -115,15 +115,20 @@ def capped_masses(n: int, digit_cap: int) -> tuple[Rat, Rat]:
     Below a prefix with digit product P, the intervals whose next digit
     exceeds the cap have total length 1/(P (cap+1)), since the lengths
     1/(P k (k+1)) telescope; so the residual is sum_{j<n} e_j / (cap+1)
-    over the final e_j.  One pass over d gives both exactly in O(n cap) steps.
+    over the final e_j.  In integers, e_j = c(d, j+1)/(d-1)! with c the
+    unsigned Stirling numbers of the first kind, prod_{k<d} (t + k) =
+    sum_j c(d, j) t^j: covered = sum_{d<=cap} c(d, n)/(d+1)! and residual =
+    sum_{j<=n} c(cap+1, j)/(cap+1)!.  One pass over d steps
+    c(d+1, j) = c(d, j-1) + d c(d, j) and builds one Fraction per result.
     """
-    e = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    covered = Fraction(0)
+    c = [0, 1] + [0] * (n - 1)  # c(d, j) for j = 0..n, from d = 1
+    covered = 0  # covered mass times (d+1)!
     for d in range(1, digit_cap + 1):
-        covered += e[n - 1] / (d * (d + 1))
-        for j in range(n - 1, 0, -1):
-            e[j] += e[j - 1] / d
-    return covered, sum(e) / (digit_cap + 1)
+        covered = covered * (d + 1) + c[n]
+        for j in range(n, 0, -1):
+            c[j] = c[j - 1] + d * c[j]
+    whole = math.factorial(digit_cap + 1)
+    return Fraction(covered, whole), Fraction(sum(c), whole)
 
 
 def check_interval_budget(orders, digit_cap: int, what: str) -> None:
@@ -144,10 +149,13 @@ def check_interval_budget(orders, digit_cap: int, what: str) -> None:
 
 
 def _check_mass_budget(n: int, digit_cap: int, what: str) -> None:
-    """ResourceLimitError if capped_masses(n, digit_cap) would take more than about a second."""
-    # n * cap Fraction steps, each about 30 ns per unit of cap (the denominators grow) plus 6 us
-    if n * digit_cap * (digit_cap + 200) > 2**25:
-        raise ResourceLimitError(f"{what} exceeds the mass budget n * cap * (cap + 200) <= 2^25")
+    """ResourceLimitError if capped_masses or a cover sum at (n, digit_cap) would pass a second."""
+    # each digit costs n + 2 steps on ints of up to log2((cap+1)!) <= cap * bit_length(cap)
+    # bits, about 30 ps a bit, and the cover sum's n steps on small ints, about 200 ns each
+    if (n + 2) * digit_cap * (digit_cap * digit_cap.bit_length() + 6000) > 2**35:
+        raise ResourceLimitError(
+            f"{what} exceeds the mass budget (n + 2) * cap * (cap * bit_length(cap) + 6000) <= 2^35"
+        )
 
 
 def partition(n: int, digit_cap: int) -> Partition:

@@ -4,9 +4,10 @@ Each oracle takes the definitional route to a value that the library
 computes a faster way: the digit kernels without their memos, the point
 queries in ``Fraction`` arithmetic instead of integer numerators, E* from
 its defining sum instead of its closed form, the integral's Riemann sum
-point by point, floored at a fixed scale, instead of in closed form, and
-the right side of the paper's recursion identity, whose callers check that it
-equals E(x).
+point by point, floored at a fixed scale, instead of in closed form, the
+capped masses as elementary symmetric sums in ``Fraction`` steps instead of
+integer Stirling numbers, and the right side of the paper's recursion
+identity, whose callers check that it equals E(x).
 The input draws that several test files share are here too, written once.
 
 The point-query oracles write the parity flip of the geometry out as
@@ -156,6 +157,19 @@ def estar_by_definition(seq, depth: int = DEFAULT_DEPTH) -> Enclosure:
     # remaining terms: sum_{n>depth} |value - partial_n| <= geometric-ish tail
     tail = F(depth + 3, math.prod(digits[: depth + 2]) * (depth + 2))
     return Enclosure(lo - tail, hi + tail)
+
+
+def capped_masses_oracle(n, digit_cap):
+    # intervals.capped_masses by its derivation: e_j the elementary symmetric sums
+    # of 1, 1/2, ..., 1/(d-1) in Fractions; ending in d gives e_{n-1}/(d(d+1)), and
+    # the tails past the cap telescope to sum_{j<n} e_j / (cap+1)
+    e = [F(1)] + [F(0)] * (n - 1)
+    covered = F(0)
+    for d in range(1, digit_cap + 1):
+        covered += e[n - 1] / (d * (d + 1))
+        for j in range(n - 1, 0, -1):
+            e[j] += e[j - 1] / d
+    return covered, sum(e) / (digit_cap + 1)
 
 
 def recursion_rhs_oracle(x, n):

@@ -192,7 +192,7 @@ class TestVariation:
             with pytest.raises(DomainError):
                 variation_over_partition(n, cap)
 
-    @pytest.mark.parametrize("n,cap", [(1, 5694), (3, 3246), (268, 268), (3, 10**5)])
+    @pytest.mark.parametrize("n,cap", [(1, 27434), (3, 21205), (1300, 1300), (3, 10**5)])
     def test_mass_budget_refuses_before_any_work(self, n, cap, monkeypatch):
         def refuse(*args):
             raise AssertionError("capped_masses started above the mass budget")
@@ -413,32 +413,21 @@ class TestHausdorffCoverSum:
         for a, b in zip(values[:3], values[1:4]):
             assert b.upper < a.lower
 
-    @pytest.mark.parametrize("n,cap", [(1, 5694), (3, 3246), (268, 268)])
-    def test_mass_budget_refuses_before_the_layer_table(self, n, cap, monkeypatch):
+    @pytest.mark.parametrize("n,cap", [(1, 27434), (3, 21205), (1300, 1300)])
+    def test_mass_budget_refuses_before_any_work(self, n, cap, monkeypatch):
         def refuse(*args):
             raise AssertionError("cover sum started above the mass budget")
 
         monkeypatch.setattr(analysis, "capped_masses", refuse)
-        monkeypatch.setattr(analysis, "Counter", refuse)
+        monkeypatch.setattr(analysis, "iroot", refuse)
         with pytest.raises(ResourceLimitError, match="mass budget"):
             hausdorff_cover_sum(n, F(3, 2), cap)
 
-    def test_table_budget_refuses_a_growing_table(self, monkeypatch):
-        # the order-8 sum at cap 20, the benchmark's largest, peaks at 25,645
-        # entries; with the budget at 2^15 it passes, at 2^4 the order-3
-        # tables pass 16 entries by digit 5 and refuse
-        monkeypatch.setattr(analysis, "MAX_INTERVALS", 2**15)
-        hausdorff_cover_sum(8, F(3, 2), 20)
-        monkeypatch.setattr(analysis, "MAX_INTERVALS", 2**4)
-        hausdorff_cover_sum(1, F(3, 2), 8)  # 9 entries
-        with pytest.raises(ResourceLimitError, match="hausdorff_cover_sum"):
-            hausdorff_cover_sum(3, F(3, 2), 20)
-
-    def test_table_budget_refuses_a_runaway_input(self):
-        # passes the mass budget, and its tables grew until the process was
-        # killed on an 8 GiB machine; the budget trips at digit 146
-        with pytest.raises(ResourceLimitError, match="MAX_INTERVALS"):
-            hausdorff_cover_sum(3, F(3, 2), 3245)
+    def test_large_cap_runs_in_the_digit_recursion(self):
+        # C(3245, 3), about 5.7e9 prefixes, in one digit pass of 2n integers
+        big = hausdorff_cover_sum(3, F(3, 2), 3245)
+        assert big.capped_lower <= big.capped_upper
+        assert big.capped_lower >= hausdorff_cover_sum(3, F(3, 2), 3000).capped_lower
 
     def test_validation(self):
         with pytest.raises(DomainError):

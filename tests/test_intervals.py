@@ -154,15 +154,15 @@ class TestPartition:
 
 class TestMassBudget:
     def test_edge(self):
-        # n * cap * (cap + 200) <= 2^25 = 33,554,432
-        for n, cap in [(1, 5693), (3, 3245), (267, 267)]:
+        # (n + 2) * cap * (cap * bit_length(cap) + 6000) <= 2^35 = 34,359,738,368
+        for n, cap in [(1, 27433), (3, 21204), (1299, 1299)]:
             _check_mass_budget(n, cap, "edge")
-        for n, cap in [(1, 5694), (3, 3246), (268, 268)]:
+        for n, cap in [(1, 27434), (3, 21205), (1300, 1300)]:
             with pytest.raises(ResourceLimitError, match="mass budget"):
                 _check_mass_budget(n, cap, "edge")
 
     # C(cap, n) fits MAX_INTERVALS on these, so the mass budget is what refuses
-    @pytest.mark.parametrize("n,cap", [(1, 5694), (268, 268), (10**6, 10**6)])
+    @pytest.mark.parametrize("n,cap", [(1, 27434), (1300, 1300), (10**6, 10**6)])
     def test_partition_refuses_before_any_work(self, n, cap, monkeypatch):
         def refuse(*args):
             raise AssertionError("partition started above the mass budget")

@@ -29,7 +29,7 @@ from piercesum.core import child_numerators, digit_numerators
 from piercesum.intervals import capped_masses, interval_length
 from piercesum.sequences import walk_prefixes
 
-from oracles import estar_by_definition
+from oracles import capped_masses_oracle, estar_by_definition
 
 
 def box_count_oracle(epsilon):
@@ -196,6 +196,30 @@ def cover_sum_oracle(n, s, digit_cap, scale):
     return CoverSum(n, s, digit_cap, F(lo_total, scale), F(hi_total, scale), tail, residual)
 
 
+def cover_width_bound(n, s, cap, scale):
+    """Width the integer recursion of hausdorff_cover_sum may reach, s >= 1.
+
+    In units of 1/scale, with w_d = d^-s <= 1/d, e_j(d) the elementary
+    symmetric sums of w_1..w_{d-1}, l_j <= e_j <= u_j their floored and
+    ceiled integer brackets, g_j = u_j - l_j, U(d) = sum_j u_j(d) and
+    G(d) = sum_j g_j(d) (j < n):
+    - a step adds ceil(u_{j-1} (r+1)/S) - floor(l_{j-1} r/S) with r <= S w_d,
+      so g_j(d+1) <= g_j(d) + g_{j-1}(d)/d + u_{j-1}(d)/S + 2;
+    - U(d+1) <= U(d) (1 + 1/d + 1/S) + n and U(1) = S, so U(d)/d <= S (1 + 1/S)^d
+      (1 + n H_d/S) <= 2S when cap and n H_cap are at most S/4;
+    - then G(d+1)/(d+1) <= G(d)/d + 2 + 2n/(d+1), so G(d) <= 2d (d + n H_d).
+    Each digit d adds ceil(u_{n-1}(t+1)/S) - floor(l_{n-1} t/S) with t <= S tau_d,
+    tau_d = (n^2+1)^(s/2) (d(d+1))^-s, so the width is at most
+    sum_d (G(d) tau_d + U(d) + 2) / S <= (cap (cap+3) + 2 sum_d d (d + n H_d) tau_d) / S.
+    """
+    assert 4 * cap <= scale and 4 * n * sum(1 / d for d in range(1, cap + 1)) <= scale
+    total, harmonic = cap * (cap + 3), 0.0
+    for d in range(1, cap + 1):
+        harmonic += 1 / d
+        total += 2 * d * (d + n * harmonic) * (n * n + 1) ** (s / 2) / (d * (d + 1)) ** s
+    return total / scale
+
+
 @given(
     st.integers(min_value=1, max_value=5).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(min_value=n, max_value=14))
@@ -204,12 +228,27 @@ def cover_sum_oracle(n, s, digit_cap, scale):
     st.sampled_from([10**6, 10**18]),
 )
 @example((5, 14), F(7, 3), 10**18)
+@example((5, 14), F(1), 10**6)
 @settings(max_examples=60, deadline=None)
 def test_cover_sum_matches_the_per_prefix_oracle(order_cap, s, scale):
+    # the 10^-40 per-prefix bracket lies inside the recursion's, which is no
+    # wider than cover_width_bound; the tail and residual agree at the same scale
     n, cap = order_cap
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "COVER_SCALE", scale)
-        assert hausdorff_cover_sum(n, s, cap) == cover_sum_oracle(n, s, cap, scale)
+        rep = hausdorff_cover_sum(n, s, cap)
+    fine = cover_sum_oracle(n, s, cap, 10**40)
+    assert rep.capped_lower <= fine.capped_lower <= fine.capped_upper <= rep.capped_upper
+    assert rep.capped_upper - rep.capped_lower <= cover_width_bound(n, float(s), cap, scale)
+    assert rep.residual_mass == fine.residual_mass
+    assert rep.tail_bound == cover_sum_oracle(n, s, cap, scale).tail_bound
+
+
+def test_cover_sum_width_at_the_benchmark_size():
+    # order 8, s = 3/2, cap 20 at scale 10^18: 1.3e-17 wide, where
+    # cover_width_bound allows 1.0e-15
+    rep = hausdorff_cover_sum(8, F(3, 2), 20)
+    assert rep.capped_upper - rep.capped_lower < F(1, 10**16)
 
 
 def test_cover_sum_bracket_holds_the_sum_at_a_finer_scale():
@@ -285,6 +324,19 @@ def test_residual_closed_form_matches_brute_force(n, cap):
         F(0),
     )
     assert capped_masses(n, cap)[1] == brute
+
+
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=60))
+@example(1, 1)
+@example(1, 5)
+@example(3, 7)
+@example(5, 14)
+@example(8, 20)
+@example(2, 50)
+@example(30, 40)
+@settings(max_examples=100, deadline=None)
+def test_capped_masses_match_the_fraction_oracle(n, cap):
+    assert capped_masses(n, cap) == capped_masses_oracle(n, cap)
 
 
 def variation_oracle(n, cap):
