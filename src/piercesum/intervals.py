@@ -148,13 +148,17 @@ def check_interval_budget(orders, digit_cap: int, what: str) -> None:
             raise ResourceLimitError(f"{what} exceeds MAX_INTERVALS = {MAX_INTERVALS} intervals")
 
 
-def _check_mass_budget(n: int, digit_cap: int, what: str) -> None:
-    """ResourceLimitError if capped_masses or a cover sum at (n, digit_cap) would pass a second."""
+def _check_mass_budget(n: int, digit_cap: int, what: str, root_steps: int = 0) -> None:
+    """ResourceLimitError if capped_masses or a cover sum at (n, digit_cap) would pass a second.
+
+    ``root_steps`` is what the cover sum's two roots cost per digit, in the same bit steps.
+    """
     # each digit costs n + 2 steps on ints of up to log2((cap+1)!) <= cap * bit_length(cap)
     # bits, about 30 ps a bit, and the cover sum's n steps on small ints, about 200 ns each
-    if (n + 2) * digit_cap * (digit_cap * digit_cap.bit_length() + 6000) > 2**35:
+    if digit_cap * ((n + 2) * (digit_cap * digit_cap.bit_length() + 6000) + root_steps) > 2**35:
         raise ResourceLimitError(
-            f"{what} exceeds the mass budget (n + 2) * cap * (cap * bit_length(cap) + 6000) <= 2^35"
+            f"{what} exceeds the mass budget cap * ((n + 2) * (cap * bit_length(cap) + 6000)"
+            f" + {root_steps}) <= 2^35"
         )
 
 

@@ -321,7 +321,7 @@ def walk_prefixes(children) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
     order.  The walk is lazy, stepping a child only when it reaches it, so
     a rule may be unbounded; the stack is explicit, so depth is not limited
     by the recursion limit.  Callers: the product-bounded trees of
-    ``analysis.box_count_empirical`` and ``analysis.count_bounded_products``,
+    ``analysis.box_count_sweep`` and ``analysis.count_bounded_products``,
     and ``analysis.ivt_root``'s bracketing cylinders.
     """
     root = ((), 1, 0, 0)

@@ -6,7 +6,8 @@ queries in ``Fraction`` arithmetic instead of integer numerators, E* from
 its defining sum instead of its closed form, the integral's Riemann sum
 point by point, floored at a fixed scale, instead of in closed form, the
 capped masses as elementary symmetric sums in ``Fraction`` steps instead of
-integer Stirling numbers, and the right side of the paper's recursion
+integer Stirling numbers, the cover sum at s = 2 the same way instead of in
+bracketed fixed point, and the right side of the paper's recursion
 identity, whose callers check that it equals E(x).
 The input draws that several test files share are here too, written once.
 
@@ -170,6 +171,19 @@ def capped_masses_oracle(n, digit_cap):
         for j in range(n - 1, 0, -1):
             e[j] += e[j - 1] / d
     return covered, sum(e) / (digit_cap + 1)
+
+
+def cover_sum_square_oracle(n, digit_cap):
+    # hausdorff_cover_sum's capped sum at s = 2, exactly: an order-n prefix ending in d
+    # has squared diameter (n^2+1) / (P d(d+1))^2, P the product of the others, and the
+    # sum of 1/P^2 over the others is e_{n-1} of 1/1^2, ..., 1/(d-1)^2, stepped in Fractions
+    e = [F(1)] + [F(0)] * (n - 1)
+    total = F(0)
+    for d in range(1, digit_cap + 1):
+        total += e[n - 1] / (d * (d + 1)) ** 2
+        for j in range(n - 1, 0, -1):
+            e[j] += e[j - 1] / d**2
+    return (n * n + 1) * total
 
 
 def recursion_rhs_oracle(x, n):

@@ -423,6 +423,29 @@ class TestHausdorffCoverSum:
         with pytest.raises(ResourceLimitError, match="mass budget"):
             hausdorff_cover_sum(n, F(3, 2), cap)
 
+    # a digit's roots take about 15 ms at s = 1001/1000 and 200 ms at 1000/999, against
+    # 2 us at 3/2: (1, 1001/1000, 100) ran for 1.3 s before the budget counted them
+    @pytest.mark.parametrize(
+        "n,s,cap", [(1, F(1001, 1000), 27433), (1, F(1001, 1000), 100), (8, F(1000, 999), 8)]
+    )
+    def test_root_cost_refuses_before_any_root(self, n, s, cap, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cover sum took a root above the mass budget")
+
+        monkeypatch.setattr(analysis, "iroot", refuse)
+        monkeypatch.setattr(analysis, "capped_masses", refuse)
+        with pytest.raises(ResourceLimitError, match="mass budget"):
+            hausdorff_cover_sum(n, s, cap)
+
+    def test_root_cost_keeps_the_accepted_sizes(self):
+        # the budget alone, so that no root is taken: the benchmark's sizes, the
+        # largest cap tested here, and the largest cap at 1001/1000 (0.8 s)
+        cases = [(n, F(3, 2), 20) for n in range(1, 9)]
+        cases += [(3, F(3, 2), 3245), (5, F(7, 3), 14), (1, F(1001, 1000), 66)]
+        for n, s, cap in cases:
+            steps = analysis._root_steps(n, s.numerator, s.denominator, cap)
+            analysis._check_mass_budget(n, cap, "edge", steps)
+
     def test_large_cap_runs_in_the_digit_recursion(self):
         # C(3245, 3), about 5.7e9 prefixes, in one digit pass of 2n integers
         big = hausdorff_cover_sum(3, F(3, 2), 3245)

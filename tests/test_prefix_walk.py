@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import combinations, count, groupby, islice
 
 import pytest
@@ -12,6 +13,7 @@ from piercesum import (
     CoverSum,
     PierceSeq,
     box_count_empirical,
+    box_count_sweep,
     calibrate_product_bound,
     count_bounded_products,
     cylinder_extrema,
@@ -29,9 +31,10 @@ from piercesum.core import child_numerators, digit_numerators
 from piercesum.intervals import capped_masses, interval_length
 from piercesum.sequences import walk_prefixes
 
-from oracles import capped_masses_oracle, estar_by_definition
+from oracles import capped_masses_oracle, cover_sum_square_oracle, estar_by_definition
 
 
+@lru_cache(maxsize=128)
 def box_count_oracle(epsilon):
     """Box count by plain recursion over every sampled node, one cell at a time."""
     P, depth_cap = calibrate_product_bound(epsilon)
@@ -61,6 +64,10 @@ def box_count_oracle(epsilon):
     return len(cells)
 
 
+# the certified covering scale at M = 9, of thousands of bits
+lambda_eps = lambda_cover_counts(9).epsilon
+
+
 # rationals p/q in [2^-10, 1/2)
 epsilons = st.integers(min_value=3, max_value=4096).flatmap(
     lambda q: st.integers(min_value=-(-q // 1024), max_value=(q - 1) // 2).map(lambda p: F(p, q))
@@ -78,10 +85,51 @@ epsilons = st.integers(min_value=3, max_value=4096).flatmap(
 @example(1 / (F(1024) + F(1, 2**200)))
 @example(1 / (F(1000, 7) - F(1, 2**200)))
 @example(1 / (F(1000, 7) + F(1, 2**200)))
-@example(lambda_cover_counts(9).epsilon)
+@example(lambda_eps)
 @settings(max_examples=40, deadline=None)
 def test_box_count_matches_recursive_oracle(epsilon):
     assert box_count_empirical(epsilon) == box_count_oracle(epsilon)
+
+
+@st.composite
+def scale_lists(draw):
+    """Two to four decreasing scales in [2^-10, 1/2): each step divides by an
+    integer 2..4 (a chain link) or scales by a fraction in [1/5, 9/10] (a
+    break, unless its inverse is an integer)."""
+    scales = [draw(epsilons.filter(lambda e: e >= F(1, 256)))]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if draw(st.booleans()):
+            step = F(1, draw(st.integers(min_value=2, max_value=4)))
+        else:
+            step = draw(st.fractions(min_value=F(1, 5), max_value=F(9, 10), max_denominator=12))
+        if scales[-1] * step < F(1, 1024):
+            break
+        scales.append(scales[-1] * step)
+    return scales
+
+
+@given(scale_lists())
+@example([F(1, 10), F(1, 30), F(1, 64), F(1, 100), F(1, 300), F(3, 1000), F(1, 1000)])
+@example([6 * lambda_eps, 2 * lambda_eps, lambda_eps])
+@settings(max_examples=20, deadline=None)
+def test_sweep_chains_match_the_oracle_scale_by_scale(scales):
+    assert [c for _, c in box_count_sweep(scales)] == [box_count_oracle(e) for e in scales]
+
+
+def test_one_walk_per_chain(monkeypatch):
+    walks = []
+
+    def counting_walk(children):
+        walks.append(children)
+        return walk_prefixes(children)
+
+    monkeypatch.setattr(analysis, "walk_prefixes", counting_walk)
+    box_count_sweep([F(1, 2**k) for k in range(3, 11)])
+    assert len(walks) == 1
+    walks.clear()
+    # 1/16 to 1/24 is the one break: ratio 3/2
+    box_count_sweep([F(1, 8), F(1, 16), F(1, 24), F(1, 48), F(1, 96)])
+    assert len(walks) == 2
 
 
 def test_product_cap_bounds_the_walk_depth():
@@ -265,6 +313,26 @@ def test_cover_sum_bracket_holds_the_sum_at_a_finer_scale():
         root = floor_root(base.numerator * fine ** (2 * q) // base.denominator, 2 * q)
         lo, hi = lo + root, hi + root + 1
     assert rep.capped_lower <= F(lo, fine) and F(hi, fine) <= rep.capped_upper
+
+
+def test_square_oracle_matches_the_per_prefix_sum():
+    for n, cap in [(1, 6), (2, 7), (3, 8), (4, 9)]:
+        direct = sum(
+            (n * n + 1) * interval_length(prefix) ** 2
+            for prefix in combinations(range(1, cap + 1), n)
+        )
+        assert cover_sum_square_oracle(n, cap) == direct
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("cap", [10, 50])
+def test_cover_sum_brackets_the_exact_sum_at_a_coarse_scale(n, cap):
+    # at scale 10^3 each lost unit of a floored or ceiled step is large, so a step
+    # rounded the wrong way shows; at s = 2 the capped sum is exact in Fractions
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "COVER_SCALE", 10**3)
+        rep = hausdorff_cover_sum(n, 2, cap)
+    assert rep.capped_lower <= cover_sum_square_oracle(n, cap) <= rep.capped_upper
 
 
 def test_box_count_oracle_counts_the_seed_pins():
