@@ -25,8 +25,9 @@ INF = math.inf
 #: numerator; fail loudly instead of looping on absurd inputs.
 MAX_DEPTH = 10_000
 
-#: Results kept by the expand and digit_numerators memos.  A query on a point
-#: takes one expansion and two folds: its digits, and all but the last.
+#: Nodes kept by the expand, digit_numerators and node_fraction memos.  A query
+#: on a point takes one expansion and one fold, of its digits, and builds each
+#: of that node's two values, phi and E*, once: every query reads the same Fraction.
 _MEMO_SIZE = 8
 
 
@@ -177,6 +178,12 @@ def child_numerators(k, prod, value_num, err_num, d) -> tuple[int, int, int]:
     return prod * d, value_num * d + s, err_num * d + s * k
 
 
+def parent_numerators(k, prod, value_num, err_num, d) -> tuple[int, int, int]:
+    """child_numerators undone: a k-digit prefix's triple from that of its child by d, exactly."""
+    s = -1 if k % 2 else 1
+    return prod // d, (value_num - s) // d, (err_num - s * k) // d
+
+
 def digit_numerators(digits) -> tuple[int, int, int]:
     """The digit product and the phi and E* numerators over it, as a triple.
 
@@ -203,16 +210,26 @@ def _fold(digits: tuple[int, ...]) -> tuple[int, int, int]:
     return prod, value_num, err_num
 
 
+@lru_cache(maxsize=2 * _MEMO_SIZE)
+def node_fraction(num: int, prod: int) -> Rat:
+    """num/prod of a node's digit_numerators: its phi or its E*, kept for _MEMO_SIZE nodes.
+
+    Each value of a node is built once, and every caller that asks for it
+    afterwards, folded or walk-fed, reads that same Fraction.  Pass plain ints.
+    """
+    return Fraction(num, prod)
+
+
 def evaluate_digits(digits) -> Rat:
     """Exact alternating sum sum_k (-1)^(k+1) / (d_1 ... d_k) of finite digits."""
     prod, value_num, _ = digit_numerators(digits)
-    return Fraction(value_num, prod)
+    return node_fraction(value_num, prod)
 
 
 def estar_digits(digits) -> Rat:
     """Exact closed-form error sum of a finite digit tuple."""
     prod, _, err_num = digit_numerators(digits)
-    return Fraction(err_num, prod)
+    return node_fraction(err_num, prod)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DomainError, Rat, as_rational, check_prefix, child_numerators, digit_numerators
-from .core import estar_digits, expand
+from .core import estar_digits, expand, node_fraction, parent_numerators
 from .intervals import interval_length, node_span, side
 from .sequences import DEFAULT_DEPTH, Enclosure, PierceSeq, _truncation_bracket, as_sequence
 from .sequences import is_realizable
@@ -87,16 +87,18 @@ def jumps_at(x) -> JumpReport:
     """Jump data of E at a rational x in (0, 1).
 
     The magnitude is 1/(d_1 ... d_{n-1} (d_n - 1) d_n); the discontinuous
-    one-sided limit equals the error sum of the non-realizable preimage,
-    which is recomputed independently here as a consistency check.
+    one-sided limit equals the error sum of the non-realizable preimage.
+    The digits are folded once; dividing d_n out gives the n - 1 digits x
+    shares with its twin, from which child_numerators rebuilds the twin's
+    error sum, cross-multiplied against the limit as a consistency check.
     """
     x = as_rational(x)
     if not 0 < x.numerator < x.denominator:
         raise DomainError("jump analysis is defined on rationals strictly inside (0, 1)")
     digits = expand(x)
     n, d = len(digits), digits[-1]
-    head = digit_numerators(digits[:-1])  # the n - 1 digits x shares with its twin
-    prod, _, err_num = child_numerators(n - 1, *head, d)
+    prod, value_num, err_num = digit_numerators(digits)
+    head = parent_numerators(n - 1, prod, value_num, err_num, d)  # what x shares with its twin
     den, s = prod * (d - 1), side(n)  # E(x) = err_num (d - 1)/den, the limit 1/den away on s
     limit_num = err_num * (d - 1) + s
     twin_prod, _, twin_err = child_numerators(n, *child_numerators(n - 1, *head, d - 1), d)
@@ -106,7 +108,7 @@ def jumps_at(x) -> JumpReport:
         x=x,
         side="left" if s > 0 else "right",
         parity="even" if s > 0 else "odd",
-        interior_value=Fraction(err_num, prod),
+        interior_value=node_fraction(err_num, prod),
         limit_value=Fraction(limit_num, den),
         jump_magnitude=Fraction(1, den),
     )
@@ -156,7 +158,8 @@ def _cylinder_extrema(prefix: tuple[int, ...], prod, value_num, err_num) -> Cyli
     """cylinder_extrema of a checked non-empty prefix and its digit_numerators."""
     n = len(prefix)
     there_prod, _, there_err = child_numerators(n, prod, value_num, err_num, prefix[-1] + 1)
-    low, high, _, _ = node_span(n, Fraction(err_num, prod), Fraction(there_err, there_prod), True)
+    here, there = node_fraction(err_num, prod), Fraction(there_err, there_prod)
+    low, high, _, _ = node_span(n, here, there, True)
     return CylinderExtrema(prefix, high, low)
 
 

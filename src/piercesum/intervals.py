@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .core import DomainError, Rat, ResourceLimitError, as_rational, check_count, check_prefix
-from .core import child_numerators, digit_numerators, expand
+from .core import child_numerators, digit_numerators, expand, node_fraction
 from .sequences import _realizable_digits
 
 #: Most fundamental intervals one digit-capped enumeration (partition, CLI
@@ -78,7 +78,7 @@ def _fundamental_interval(prefix, prod, value_num, err_num) -> FundInterval:
     """fundamental_interval from a node; phi(hat) is phi of the prefix with last + 1 appended."""
     n = len(prefix)
     hat_prod, hat_num, _ = child_numerators(n, prod, value_num, err_num, prefix[-1] + 1)
-    here, there = Fraction(value_num, prod), Fraction(hat_num, hat_prod)
+    here, there = node_fraction(value_num, prod), Fraction(hat_num, hat_prod)
     return FundInterval(prefix, n, *node_span(n, here, there, _realizable_digits(prefix)))
 
 

@@ -14,9 +14,14 @@ from piercesum import (
     as_rational,
     constant_stream,
     convergent,
+    cylinder_extrema,
     digit1,
+    esum,
     evaluate_digits,
     expand,
+    fundamental_interval,
+    jumps_at,
+    phi,
     shift,
     shift_power,
 )
@@ -64,14 +69,31 @@ class TestAsRational:
 
 
 class TestKernelMemos:
-    """expand and digit_numerators keep a few results; they must equal the memo-free oracles."""
+    """The kernel memos keep a few results; they must equal the memo-free oracles."""
 
     def _check(self, x):
         digits = expand(x)
         assert digits == expand_oracle(x)
-        for ds in (digits, digits[:-1]):  # the two folds of a forward query
+        for ds in (digits, digits[:-1]):  # a point's node and its parent's: 2 nodes a point
             assert digit_numerators(ds) == numerators_oracle(ds)
         return digits
+
+    def test_a_forward_query_expands_once_and_folds_once(self):
+        # the six calls of the benchmark's forward query on one point: one expansion,
+        # one fold, and each of the node's two values built once and shared
+        for x in random_unit_rationals(50, seed=34):
+            if not 0 < x < 1:
+                continue
+            memos = (core._expand, core._fold, core.node_fraction)
+            for memo in memos:
+                memo.cache_clear()
+            digits = expand(x)
+            value, e, jump = phi(digits), esum(x), jumps_at(x)
+            iv, ext = fundamental_interval(digits), cylinder_extrema(digits)
+            assert [memo.cache_info().misses for memo in memos] == [1, 1, 2], x
+            odd = len(digits) % 2
+            assert e is jump.interior_value is (ext.maximum if odd else ext.minimum)
+            assert value.lo is value.hi is (iv.right if odd else iv.left)
 
     def test_hits_and_evictions_match_the_oracles(self):
         xs = random_unit_rationals(40)

@@ -20,7 +20,7 @@ from piercesum import (
     phi,
 )
 from piercesum import intervals
-from piercesum.core import child_numerators, digit_numerators
+from piercesum.core import child_numerators, digit_numerators, parent_numerators
 from piercesum.intervals import MAX_INTERVALS, _check_mass_budget, check_interval_budget
 
 unit_rationals = st.builds(
@@ -67,12 +67,13 @@ class TestFundamentalInterval:
 
 @pytest.mark.parametrize("n", [*range(65), MAX_DEPTH - 1, MAX_DEPTH])
 def test_side_is_the_sign_the_kernels_give_digit_n_plus_1(n):
-    # the geometry's one parity rule against the inline signs of the two L0 kernels
+    # the geometry's one parity rule against the inline signs of the three L0 kernels
     s = intervals.side(n)
     assert s in (1, -1)
     _, value_step, err_step = child_numerators(n, 1, 0, 0, 1)
     assert value_step == s
     assert err_step == s * n  # the sign of s for n >= 1; the root's E* step is 0
+    assert parent_numerators(n, 1, s, s * n, 1) == (1, 0, 0)
     prefix = tuple(range(1, n + 1))
     _, value_num, err_num = digit_numerators(prefix)
     _, child_value, child_err = digit_numerators(prefix + (n + 1,))

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from piercesum import (
+    Enclosure,
     cylinder_extrema,
     esum,
     evaluate_digits,
@@ -25,9 +26,11 @@ from piercesum import (
     jumps_at,
     phi,
 )
+from piercesum import core
+from piercesum.core import digit_numerators, parent_numerators
 
-from oracles import cylinder_extrema_oracle, fundamental_interval_oracle, ivt_triples
-from oracles import jumps_at_oracle, random_unit_rationals
+from oracles import cylinder_extrema_oracle, expand_oracle, fundamental_interval_oracle
+from oracles import ivt_triples, jumps_at_oracle, numerators_oracle, random_unit_rationals
 
 #: sha256 of ``_point_text()``, as computed on the Fraction routes of the point-query oracles.
 POINT_DIGEST = "cecc74a74de18221eab8772b33d1c0609c0e282baae2ba3cb26db4f71b887764"
@@ -129,3 +132,56 @@ class TestAgainstFractionRoutes:
             x = evaluate_digits(prefix)
             if 0 < x < 1:
                 _same(jumps_at(x), jumps_at_oracle(x))
+
+
+def _query(x, prefix):
+    # the benchmark's forward query on x, with the prefix's own value, interval
+    # and extrema (for a point, its digits)
+    jump = jumps_at(x) if 0 < x < 1 else None
+    iv, ext = fundamental_interval(prefix), cylinder_extrema(prefix)
+    return expand(x), phi(prefix), esum(x), jump, iv, ext
+
+
+def _query_oracle(x, prefix):
+    prod, value_num, _ = numerators_oracle(prefix)
+    x_prod, _, x_err_num = numerators_oracle(expand_oracle(x))
+    return (
+        expand_oracle(x),
+        Enclosure.exact(F(value_num, prod)),
+        F(x_err_num, x_prod),
+        jumps_at_oracle(x) if 0 < x < 1 else None,
+        fundamental_interval_oracle(prefix),
+        cylinder_extrema_oracle(prefix),
+    )
+
+
+def test_interleaved_queries_read_no_evicted_or_stale_value():
+    # more than three memo-fulls of points, a 40- to 301-digit prefix after each,
+    # asked in order and then in reverse; each expected value is computed on
+    # cleared memos, so no entry the queries leave behind can reach it
+    points = [x for x in random_unit_rationals(3 * core._MEMO_SIZE + 8, seed=34) if x]
+    long = _long_prefixes()
+    queries = []
+    for i, x in enumerate(points):
+        prefix = long[i % len(long)]
+        prod, value_num, _ = numerators_oracle(prefix)
+        queries += [(x, expand_oracle(x)), (F(value_num, prod), prefix)]
+    expected = []
+    for x, prefix in queries:
+        for memo in (core._expand, core._fold, core.node_fraction):
+            memo.cache_clear()
+        expected.append(_query_oracle(x, prefix))
+    order = list(range(len(queries)))
+    for i in order + order[::-1]:
+        _same(_query(*queries[i]), expected[i])
+
+
+@given(prefixes)
+@settings(max_examples=300)
+def test_jumps_at_head_by_division_is_the_fold_of_all_but_the_last_digit(prefix):
+    # jumps_at divides x's last digit out of its node instead of folding the rest
+    x = evaluate_digits(prefix)
+    assume(0 < x < 1)
+    for digits in (expand(x), prefix):  # x's own digits, and the drawn ones
+        head = parent_numerators(len(digits) - 1, *digit_numerators(digits), digits[-1])
+        assert head == numerators_oracle(digits[:-1])
