@@ -443,16 +443,6 @@ def calibrate_product_bound(epsilon) -> tuple[int, int]:
 BOX_MAX_PRODUCT = 2**22
 
 
-def _capped_product_bound(epsilon: Fraction) -> tuple[int, int]:
-    """calibrate_product_bound(epsilon), refused above BOX_MAX_PRODUCT before any walk."""
-    P, m = calibrate_product_bound(epsilon)
-    if P > BOX_MAX_PRODUCT:
-        raise ResourceLimitError(
-            f"scale {epsilon} calibrates product cap {P}, above BOX_MAX_PRODUCT = {BOX_MAX_PRODUCT}"
-        )
-    return P, m
-
-
 def _cell_runs(ax: int, bx: int, ay: int, by: int, c: int, d: int, hi: int):
     """Cells ((ax k + bx) // (c k), (ay k + by) // (c k)) for k = d .. hi, one per run.
 
@@ -513,8 +503,10 @@ def _sample_parents(P: int):
     )
 
 
-def _chain_counts(chain: list[Fraction]) -> list[int]:
+def _chain_counts(chain: list[Fraction], bounds: list[tuple[int, int]]) -> list[int]:
     """Box counts of scales eps_0 > ... > eps_f, each an integer multiple of the next.
+
+    ``bounds`` holds each scale's calibrate_product_bound (P, m).
 
     One walk at the finest scale finds its cells, each with the index of
     the coarsest scale whose cap admits a sample in it: the samples at cap
@@ -527,7 +519,6 @@ def _chain_counts(chain: list[Fraction]) -> list[int]:
     floor(floor(x Q) / r) for an integer r > 0, keeps the least index and
     drops the cells that no sample of its own reaches.
     """
-    bounds = [calibrate_product_bound(e) for e in chain]
     caps, (P, m) = [cap for cap, _ in bounds], bounds[-1]
     en, ed = _grid_equivalent(chain[-1], P)
     # the children's constant terms by node depth k < m; a call per node cost 2% here
@@ -613,11 +604,15 @@ def box_count_sweep(epsilons) -> list[tuple[Rat, int]]:
         raise DomainError("scales must be strictly decreasing")
     if not eps:
         return []
-    _capped_product_bound(eps[-1])  # the finest scale has the largest cap: refuse before any walk
+    bounds = [calibrate_product_bound(e) for e in eps]
+    if (P := bounds[-1][0]) > BOX_MAX_PRODUCT:  # the finest scale has the largest cap
+        raise ResourceLimitError(
+            f"scale {eps[-1]} calibrates product cap {P}, above BOX_MAX_PRODUCT = {BOX_MAX_PRODUCT}"
+        )
     counts, start = [], 0
     for j in range(1, len(eps) + 1):
         if j == len(eps) or (eps[j - 1] / eps[j]).denominator != 1:
-            counts += _chain_counts(eps[start:j])
+            counts += _chain_counts(eps[start:j], bounds[start:j])
             start = j
     return list(zip(eps, counts))
 
@@ -674,20 +669,75 @@ class CountReport:
         return self.count <= self.bound.lo
 
 
-def count_bounded_products(
-    p: int, m: int, increasing: bool = False, budget: int = 10**8
-) -> CountReport:
+#: Largest p * m count_bounded_products accepts, checked before any work.
+COUNT_MAX_PM = 10**8
+#: Largest bit size of the bound p (2 + log p)^(m-1) that count_bounded_products
+#: accepts.  Scaled by 10^12 when rounded, it stays under str()'s default 4300
+#: digits (14,284 bits), so the CLI can print it.
+COUNT_MAX_BOUND_BITS = 14_000
+
+
+def _tuples_above_one(p: int, m: int):
+    """f_k(p) for k = 1 .. min(m, log2 p): ordered k-tuples of digits >= 2, product <= p.
+
+    f_k(c) = sum_{d >= 2} f_(k-1)(c // d), stepped over the states c = p // j
+    one run of equal quotients c // d at a time.  f_1(c) = c - 1, and
+    f_(k-1)(q) = 0 below q = 2^(k-1), so level k runs d up to c // 2^(k-1)
+    and only over the states c >= 2^k.
+    """
+    states, c = [], p  # p // j for every j, decreasing
+    while c:
+        states.append(c)
+        c = p // (p // c + 1)
+    f = {c: c - 1 for c in states}
+    yield f[p]
+    for k in range(2, min(m, p.bit_length() - 1) + 1):
+        low = 1 << (k - 1)
+        g = {}
+        for c in states:
+            if c < 2 * low:
+                break
+            total, d, top = 0, 2, c // low
+            while d <= top:
+                q = c // d
+                e = c // q
+                total += (e - d + 1) * f[q]
+                d = e + 1
+            g[c] = total
+        f = g
+        yield f[p]
+
+
+def count_bounded_products(p: int, m: int, increasing: bool = False) -> CountReport:
     """Exhaustive sequence counts against their analytic bounds.
 
     ``increasing=False`` counts all sequences of length 1..m with digit
     product at most p (bound p(2+log p)^(m-1)); ``increasing=True`` counts
     strictly increasing sequences of length exactly m (same bound over m!).
-    """
-    check_count(budget, 1, "budget")
-    if check_count(p, 1, "product cap p") * check_count(m, 1, "length m") > budget:
-        raise ResourceLimitError(f"p*m = {p * m} exceeds budget {budget}")
 
-    if increasing:
+    A sequence is its k digits above 1 placed among ones, so with f_k(p)
+    the ordered k-tuples of digits >= 2 of product <= p (see
+    _tuples_above_one), and sum_{L <= m} C(L, k) = C(m + 1, k + 1), the
+    first count is m + sum_{k >= 1} f_k(p) C(m + 1, k + 1).  The second is 0
+    when m! > p; otherwise m * m! <= p * m <= COUNT_MAX_PM keeps m <= 10 for
+    the walk.  The fixed caps COUNT_MAX_PM and COUNT_MAX_BOUND_BITS are checked
+    before any work.
+    """
+    check_count(p, 1, "product cap p")
+    check_count(m, 1, "length m")
+    if p * m > COUNT_MAX_PM:
+        raise ResourceLimitError(f"p*m = {p * m} exceeds COUNT_MAX_PM = {COUNT_MAX_PM}")
+    # p < 2^bit_length(p) and 2 + log p < 2 + bit_length(p) < 2^bit_length(that), so
+    # the bound is below 2^bits
+    bits = p.bit_length() + (m - 1) * (p.bit_length() + 2).bit_length()
+    if bits > COUNT_MAX_BOUND_BITS:
+        raise ResourceLimitError(
+            f"the bound at p={p}, m={m} may take {bits} bits, "
+            f"above COUNT_MAX_BOUND_BITS = {COUNT_MAX_BOUND_BITS}"
+        )
+
+    fact = math.factorial(m) if increasing else 1
+    if increasing and fact <= p:
         # a k-digit prefix, k < m - 1, descends into child d while its cheapest completion
         # d (d+1) ... (d+m-k-1) stays within p; an (m-1)-digit node counts p // prod - last
         def children(node):
@@ -702,26 +752,20 @@ def count_bounded_products(
             for prefix, prod, _, _ in walk_prefixes(children)
             if len(prefix) == m - 1
         )
+    elif increasing:
+        count = 0  # m increasing digits have product at least m!
     else:
-        # f(L, c) = sum_{d <= c} (1 + f(L-1, c // d)), f(0, c) = 0, over the
-        # states c = p // j, one length at a time and one run of equal
-        # quotients c // d at a time
-        def runs(c):
-            d = 1
-            while d <= c:
-                q = c // d
-                yield q, c // q - d + 1
-                d = c // q + 1
+        count = m + sum(
+            f * math.comb(m + 1, k + 1) for k, f in enumerate(_tuples_above_one(p, m), 1)
+        )
 
-        states = [q for q, _ in runs(p)]
-        f = dict.fromkeys(states, 0)
-        for _ in range(m):
-            f = {c: sum(run * (1 + f[q]) for q, run in runs(c)) for c in states}
-        count = f[p]
-
-    factor = Fraction(p, math.factorial(m) if increasing else 1)
+    factor = Fraction(p, fact)
+    # 2 + log p widened to multiples of 10^-30 before the power, which would
+    # otherwise carry the log series' exact terms
     bound = refine(
-        lambda t: (factor * (2 + log_enclosure(p, t)).power(m - 1)).round_outward(),
+        lambda t: (
+            factor * (2 + log_enclosure(p, t)).round_outward(10**30).power(m - 1)
+        ).round_outward(),
         lambda b: not b.lo < count <= b.hi,  # count certified at or below, or above, the bound
         f"count {count} against its bound",
     )

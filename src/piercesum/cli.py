@@ -43,13 +43,33 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _printable(n: int) -> int:
+    """n, or ResourceLimitError if str(n) would pass the interpreter's digit limit.
+
+    The limit is sys.get_int_max_str_digits() digits (0: none, as on Python
+    3.10.0-3.10.6, which lack the function); 3 bits a digit is within it.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
+        raise ResourceLimitError(
+            f"an output value has more than {limit} digits, the int-to-str limit "
+            "(PYTHONINTMAXSTRDIGITS raises it)"
+        )
+    return n
+
+
 def _fmt(value):
-    """Render payload values: fractions as p/q, enclosures as [p/q, p/q]."""
+    """Render payload values: fractions as p/q, enclosures as [p/q, p/q].
+
+    Every int is checked by _printable here, before any output is written.
+    """
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return f"{_printable(value.numerator)}/{_printable(value.denominator)}"
     if isinstance(value, Enclosure):
         return f"[{_fmt(value.lo)}, {_fmt(value.hi)}]"
-    if isinstance(value, bool) or isinstance(value, (int, float, str)) or value is None:
+    if isinstance(value, int):  # bools too, which pass unchanged
+        return _printable(value)
+    if isinstance(value, (float, str)) or value is None:
         return value
     if isinstance(value, dict):
         return {k: _fmt(v) for k, v in value.items()}
@@ -220,9 +240,7 @@ def _cmd_ivt(args):
 
 
 def _cmd_counts(args):
-    rep = analysis.count_bounded_products(
-        args.product, args.max_len, increasing=args.increasing, budget=args.budget
-    )
+    rep = analysis.count_bounded_products(args.product, args.max_len, args.increasing)
     return {
         "product_cap": rep.product_cap,
         "max_length": rep.max_length,
@@ -378,7 +396,6 @@ def build_parser() -> _Parser:
     p.add_argument("--product", type=int, required=True)
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--increasing", action="store_true")
-    p.add_argument("--budget", type=int, default=10**8)
     p.set_defaults(run=_cmd_counts)
 
     return parser

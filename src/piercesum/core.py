@@ -36,7 +36,7 @@ class DomainError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration or refinement exceeded its configured budget."""
+    """An enumeration, refinement or output would pass one of its fixed caps."""
 
 
 class DepthOverflowError(ResourceLimitError):

@@ -17,8 +17,10 @@ from .core import DomainError, Rat, ResourceLimitError, as_rational, check_count
 from .core import child_numerators, digit_numerators, expand, node_fraction
 from .sequences import _realizable_digits
 
-#: Most fundamental intervals one digit-capped enumeration (partition, CLI
-#: graph) may build or emit; each holds about 0.4 kB.
+#: Most fundamental intervals one digit-capped enumeration may build or emit.
+#: ``partition`` holds them all, about 0.4 kB each (about 100 MiB at the cap).
+#: CLI ``graph`` streams its JSON and CSV rows, so there the cap bounds time and
+#: output size; its table format holds every row's cells, about 0.5 kB a row.
 MAX_INTERVALS = 2**18
 
 

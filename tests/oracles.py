@@ -186,6 +186,24 @@ def cover_sum_square_oracle(n, digit_cap):
     return (n * n + 1) * total
 
 
+def bounded_product_count_oracle(p, m):
+    # sequences of length 1..m of positive digits with product <= p, one length at a
+    # time: f(L, c) = sum_{d <= c} (1 + f(L-1, c // d)), f(0, c) = 0, over the states
+    # c = p // j, one run of equal quotients c // d at a time
+    def runs(c):
+        d = 1
+        while d <= c:
+            q = c // d
+            yield q, c // q - d + 1
+            d = c // q + 1
+
+    states = [q for q, _ in runs(p)]
+    f = dict.fromkeys(states, 0)
+    for _ in range(m):
+        f = {c: sum(run * (1 + f[q]) for q, run in runs(c)) for c in states}
+    return f[p]
+
+
 def recursion_rhs_oracle(x, n):
     """The right side of E(x) = sum_{k<=n} (x - s_k(x)) + (-1)^n E(T^n x)/(d_1...d_n).
 

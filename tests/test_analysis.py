@@ -38,7 +38,7 @@ from piercesum import analysis, certify
 from piercesum.certify import exp_enclosure, iroot, root_enclosure
 
 from oracles import cylinder_extrema_oracle, esum_floor_scaled, fundamental_interval_oracle
-from oracles import GRID_SCALE, grid_total_per_point, ivt_triples
+from oracles import GRID_SCALE, bounded_product_count_oracle, grid_total_per_point, ivt_triples
 
 
 #: every small grid; powers of two, highly composite grids and primes;
@@ -567,6 +567,11 @@ class TestBoxCounting:
         assert math.factorial(depth) <= P < math.factorial(depth + 1)
         assert depth * 64 <= P
 
+    @pytest.mark.parametrize("epsilon", [F(0), F(1), F(-1, 2), F(3, 2)])
+    def test_calibration_needs_a_scale_inside_the_unit_interval(self, epsilon):
+        with pytest.raises(DomainError, match="epsilon must be in"):
+            calibrate_product_bound(epsilon)
+
     def test_coarse_scale_count(self):
         # by hand: products <= 4 give points (x, -E(x)) = (1,0),(1/2,0),(1/3,0),
         # (1/4,0),(1/2,1/2),(2/3,1/3),(3/4,1/4) in cells (2,0),(1,0),(0,0),(1,1)
@@ -579,6 +584,9 @@ class TestBoxCounting:
     def test_sweep_requires_decreasing(self):
         with pytest.raises(DomainError):
             box_count_sweep([F(1, 4), F(1, 4)])
+
+    def test_empty_sweep(self):
+        assert box_count_sweep([]) == []
 
     def test_finest_benchmark_scales_pinned(self):
         # the benchmark's PINNED_BOX_COUNTS at its finest scales, taken before the
@@ -616,6 +624,10 @@ class TestDimensionSlope:
         for counts in ([3.7, 7.9, 15.2], [True, 2, 4], [F(3), 7, 15]):
             with pytest.raises(DomainError):
                 dimension_slope(zip([F(1, 2), F(1, 4), F(1, 8)], counts))
+
+    def test_rising_scales_rejected(self):
+        with pytest.raises(DegenerateFitError, match="strictly decreasing"):
+            dimension_slope([(F(1, 8), 3), (F(1, 4), 5), (F(1, 2), 9)])
 
     def test_too_few_points(self):
         with pytest.raises(DegenerateFitError):
@@ -742,8 +754,51 @@ class TestCountBoundedProducts:
         assert count_bounded_products(10**4, 6, increasing=True).count == 1469
 
     def test_budget(self):
+        # the fixed caps, at their edges: p*m <= COUNT_MAX_PM and the bound's bit
+        # size p.bit_length() + (m-1) * (p.bit_length() + 2).bit_length() <= 14,000
+        assert analysis.COUNT_MAX_PM == 10**8 and analysis.COUNT_MAX_BOUND_BITS == 14_000
+        assert count_bounded_products(10**8, 1).count == 10**8
+        assert count_bounded_products(4, 4666).within_bound()  # 3 + 4665 * 3 = 13998 bits
+        for p, m in [(10**8 + 1, 1), (5 * 10**7 + 1, 2), (10**6, 1000)]:
+            with pytest.raises(ResourceLimitError, match="COUNT_MAX_PM"):
+                count_bounded_products(p, m)
+        with pytest.raises(ResourceLimitError, match="COUNT_MAX_BOUND_BITS"):
+            count_bounded_products(4, 4667)  # 14001 bits
+
+    @pytest.mark.parametrize(
+        "p,m,increasing",
+        [(100, 10**4, False), (1, 10**5, True), (100, 10**5, True), (2, 12000, False),
+         (10**6, 101, False), (10**7, 11, True)],
+    )
+    def test_caps_refuse_before_any_work(self, p, m, increasing, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("count or bound work started above the fixed caps")
+
+        for name in ("walk_prefixes", "log_enclosure", "_tuples_above_one"):
+            monkeypatch.setattr(analysis, name, refuse)
         with pytest.raises(ResourceLimitError):
-            count_bounded_products(10**6, 1000, budget=10**6)
+            count_bounded_products(p, m, increasing)
+
+    @pytest.mark.parametrize(
+        "p,m,increasing", [(10**4, 2000, False), (10**6, 100, False), (10**6, 100, True)]
+    )
+    def test_accepted_inputs_answer_quickly(self, p, m, increasing):
+        # the length-by-length loop took 4.5-6.7 s at (10^4, 2000), the closed form 0.05 s
+        start = time.process_time()
+        assert count_bounded_products(p, m, increasing).within_bound()
+        assert time.process_time() - start < 1
+
+    @pytest.mark.parametrize("p", [*range(1, 65), 100, 127, 128, 129, 255, 256, 360, 399, 400])
+    def test_closed_form_matches_the_length_loop(self, p):
+        # m runs past log2 p, where the closed form has no more terms than log2 p
+        for m in [*range(1, 12), 20, 40]:
+            assert count_bounded_products(p, m).count == bounded_product_count_oracle(p, m)
+
+    def test_increasing_count_is_zero_below_m_factorial(self):
+        # 1, 2, ..., m is the one increasing sequence of product m!
+        for m in range(2, 11):
+            assert count_bounded_products(math.factorial(m), m, True).count == 1
+            assert count_bounded_products(math.factorial(m) - 1, m, True).count == 0
 
     def test_within_bound_tightens_a_straddling_bound(self, monkeypatch):
         # the first attempt's log 10^4 is widened down to 0, so its bound

@@ -68,7 +68,7 @@ class TestExpEnclosure:
 
 
 class TestLogEnclosure:
-    @pytest.mark.parametrize("x", [2, 3, 10, 1000, F(3, 2), F(1, 7), F(10**6)])
+    @pytest.mark.parametrize("x", [2, 3, 10, 1000, F(3, 2), F(1, 7), F(10**6), F(5, 3)])
     def test_contains_float_reference(self, x):
         enc = log_enclosure(x)
         ref = math.log(x)
@@ -113,6 +113,12 @@ class TestRoots:
 
     def test_pow_zero_exponent(self):
         assert pow_enclosure(F(17, 3), 0).contains(F(1))
+
+    def test_negative_inputs_rejected(self):
+        with pytest.raises(DomainError, match="x >= 0"):
+            root_enclosure(F(-1, 4), 2)
+        with pytest.raises(DomainError, match="non-negative exponent"):
+            pow_enclosure(8, F(-2, 3))
 
 
 class TestRefine:

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from piercesum import analysis, cli
 from piercesum.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -57,6 +63,17 @@ class TestEsum:
     def test_unknown_constant(self, capsys):
         code, _, err = run(capsys, "esum", "const:pi")
         assert code == 1 and "unknown constant" in err
+
+    def test_value_past_the_digit_limit_exits_3(self, capsys, tmp_path):
+        # depth 2000 puts about 5700 digits in the enclosure's denominator, past
+        # str()'s default 4300; depth 1500 (about 4100) still prints
+        target = tmp_path / "esum.json"
+        code, out, err = run(
+            capsys, "esum", "const:one-minus-inv-e", "--depth", "2000", "--out", str(target)
+        )
+        assert code == 3 and out == "" and "resource limit:" in err and not target.exists()
+        code, payload, _ = run_json(capsys, "esum", "const:one-minus-inv-e", "--depth", "1500")
+        assert code == 0 and payload["depth"] == 1500
 
 
 class TestJumps:
@@ -189,6 +206,14 @@ class TestVariation:
         code, out, err = run(capsys, "variation", "--order", "3", "--digit-cap", "100000")
         assert code == 3 and out == "" and "mass budget" in err
 
+    def test_value_past_the_digit_limit_exits_3(self, capsys):
+        # the mass budget admits cap 21,204 at order 3; from cap 6614 on the capped
+        # sum's terms pass str()'s default 4300 digits (6523 at cap 10,000)
+        code, out, err = run(capsys, "variation", "--order", "3", "--digit-cap", "10000")
+        assert code == 3 and out == "" and "resource limit:" in err
+        code, payload, _ = run_json(capsys, "variation", "--order", "3", "--digit-cap", "3000")
+        assert code == 0 and payload["total"] == "3/1"
+
 
 class TestDimension:
     def test_small_sweep_in_band(self, capsys):
@@ -276,11 +301,12 @@ class TestCounts:
         assert code == 0 and payload["count"] == 2003000 and payload["within_bound"] is True
 
     def test_budget_exit_code(self, capsys):
-        code, _, err = run(
-            capsys, "counts", "--product", "100000", "--max-len", "100",
-            "--budget", "1000",
-        )
-        assert code == 3 and "resource limit" in err
+        # the fixed caps exit 3 before any output; the --budget knob is gone, a usage error
+        for argv in (["--product", "100000", "--max-len", "1001"], ["--product", "2", "--max-len", "12000"]):
+            code, out, err = run(capsys, "counts", *argv)
+            assert code == 3 and out == "" and "resource limit" in err
+        code, _, err = run(capsys, "counts", "--product", "6", "--max-len", "2", "--budget", "1000")
+        assert code == 1 and "usage error" in err
 
 
 class TestPlumbing:
@@ -306,6 +332,16 @@ class TestPlumbing:
     def test_no_command_accepts_workers(self, capsys, argv):
         code, _, err = run(capsys, *argv, "--workers", "1")
         assert code == 1 and "--workers" in err
+
+    def test_module_entry_point_prints_the_same_bytes(self, capsys):
+        argv = ["graph", "--order", "2", "--digit-cap", "4", "--format", "json", "--no-timestamp"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "piercesum", *argv], capture_output=True, env=env, timeout=60
+        )
+        code, out, _ = run(capsys, *argv)
+        assert proc.returncode == code == 0 and proc.stdout == out.encode()
 
     def test_deterministic_output(self, capsys):
         a = run(capsys, "graph", "--order", "2", "--digit-cap", "4",

@@ -183,6 +183,10 @@ class TestShift:
         assert shift(0) == 0
         assert shift(1) == 0
 
+    def test_power_past_the_expansion_stays_at_zero(self):
+        # 3/8 has the two digits (2, 4): T(3/8) = 1/4, T(1/4) = 0
+        assert [shift_power(F(3, 8), n) for n in range(5)] == [F(3, 8), F(1, 4), 0, 0, 0]
+
     @given(unit_rationals)
     def test_shift_matches_definition(self, x):
         d = digit1(x)

@@ -209,6 +209,11 @@ class TestJumps:
         with pytest.raises(DomainError):
             jumps_at(x)
 
+    @pytest.mark.parametrize("x", [F(0), F(1)])
+    def test_preimage_pair_needs_an_interior_point(self, x):
+        with pytest.raises(DomainError, match="interior rational"):
+            preimage_pair(x)
+
     @given(interior_rationals)
     @settings(max_examples=300)
     def test_limits_equal_preimage_error_sums(self, x):

@@ -184,6 +184,13 @@ class TestLocate:
         with pytest.raises(DomainError):
             locate(F(1, 2), 2)
 
+    @pytest.mark.parametrize(
+        "prefix,x", [((1,), F(0)), ((1,), F(1, 3)), ((1, 2), F(3, 4)), ((2,), F(2, 3))]
+    )
+    def test_points_outside_are_not_contained(self, prefix, x):
+        iv = fundamental_interval(prefix)
+        assert (x < iv.left or x > iv.right) and not iv.contains(x)
+
     def test_boundary_point_belongs_to_its_own_interval(self):
         # 1/2 expands as (2), so it sits in (1/3, 1/2], not in (1/2, 1]
         assert fundamental_interval((2,)).contains(F(1, 2))

@@ -57,6 +57,10 @@ class TestPierceSeq:
             PierceSeq((5,), DigitStream(1, 4))  # continues 5, 6, ...
         assert PierceSeq((5,), DigitStream(1, 5)).digits(3) == (5, 6, 7)
 
+    def test_str(self):
+        assert str(PierceSeq((2, 4))) == "(2, 4)"
+        assert str(stream_seq()) == "(1, 2, 3, 4, 5, 6, ...)"
+
     def test_finite_length(self):
         assert PierceSeq((2, 4)).length == 2
         assert stream_seq().length is None
@@ -292,6 +296,11 @@ class TestEnclosure:
             for k in range(7):
                 assert enc.power(k) == product, (enc, k)
                 product = product * enc
+
+    def test_str(self):
+        assert str(Enclosure(F(1, 3), F(1, 2))) == "[1/3, 1/2]"
+        assert str(Enclosure(2, F(5, 2))) == "[2/1, 5/2]"
+        assert str(Enclosure.exact(F(1, 3))) == "1/3"
 
     def test_round_outward(self):
         enc = Enclosure(F(1, 3), F(2, 3)).round_outward(100)
