@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,7 @@ from .core import as_rational, check_count, child_numerators
 from .errorsum import _cylinder_extrema, esum
 from .intervals import FundInterval, _check_mass_budget, _fundamental_interval
 from .intervals import capped_masses, side
-from .sequences import Enclosure, walk_prefixes
+from .sequences import Enclosure, _brief, walk_prefixes
 
 
 class DegenerateFitError(DomainError):
@@ -352,25 +351,11 @@ class CoverReport:
     def __repr__(self) -> str:
         # from M = 17 on, some terms of epsilon or the a_k pass str()'s digit limit;
         # the fields keep them exactly, the repr shows them by bit length
-        a = ", ".join(f"Enclosure(lo={_brief(e.lo)}, hi={_brief(e.hi)})" for e in self.a)
+        a = ", ".join(map(repr, self.a))
         return (
             f"CoverReport(M={_brief(self.M)}, epsilon={_brief(self.epsilon)}, n={self.n!r}, "
             f"a=({a}), total_bound={self.total_bound!r}, chain_holds={self.chain_holds!r})"
         )
-
-
-def _brief(x: Fraction) -> str:
-    """repr(x), or its terms' bit lengths if one may be too long for str().
-
-    str() refuses an int of more than sys.get_int_max_str_digits() digits
-    (0: no limit, as on Python 3.10.0-3.10.6, which lack the function); an
-    int of at most 3 bits per allowed digit is within it.
-    """
-    limit = 3 * getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    num, den = x.numerator.bit_length(), x.denominator.bit_length()
-    if not limit or max(num, den) <= limit:
-        return repr(x)
-    return f"Fraction(<{num}-bit int>, <{den}-bit int>)"
 
 
 def lambda_cover_counts(M) -> CoverReport:
@@ -708,6 +693,31 @@ def _tuples_above_one(p: int, m: int):
         yield f[p]
 
 
+def _increasing_tuples(c: int, k: int, lo: int = 0) -> int:
+    """g(k, c, lo): strictly increasing k-tuples of digits above lo with product <= c.
+
+    g(1, c, lo) = max(0, c - lo).  A pair d < e has e from d + 1 to c // d,
+    so g(2, c, lo) = sum (c // d - d) over lo < d with d (d+1) <= c.  There
+    c / d - c / (d+1) >= 1, so each run of equal quotients c // d is one d
+    long, and the quotients are summed in one pass.  Above, g(k, c, lo) =
+    sum_d g(k-1, c // d, d) while d (d+1) ... (d+k-1) <= c; the recursion is
+    k deep.
+    """
+    if k == 1:
+        return max(0, c - lo)
+    if k == 2:
+        top = (math.isqrt(4 * c + 1) - 1) // 2
+        if top <= lo:
+            return 0
+        quotients = sum(map(c.__floordiv__, range(lo + 1, top + 1)))
+        return quotients - (top * (top + 1) - lo * (lo + 1)) // 2  # minus the sum of d
+    total, d = 0, lo + 1
+    while math.prod(range(d, d + k)) <= c:
+        total += _increasing_tuples(c // d, k - 1, d)
+        d += 1
+    return total
+
+
 def count_bounded_products(p: int, m: int, increasing: bool = False) -> CountReport:
     """Exhaustive sequence counts against their analytic bounds.
 
@@ -718,10 +728,11 @@ def count_bounded_products(p: int, m: int, increasing: bool = False) -> CountRep
     A sequence is its k digits above 1 placed among ones, so with f_k(p)
     the ordered k-tuples of digits >= 2 of product <= p (see
     _tuples_above_one), and sum_{L <= m} C(L, k) = C(m + 1, k + 1), the
-    first count is m + sum_{k >= 1} f_k(p) C(m + 1, k + 1).  The second is 0
-    when m! > p; otherwise m * m! <= p * m <= COUNT_MAX_PM keeps m <= 10 for
-    the walk.  The fixed caps COUNT_MAX_PM and COUNT_MAX_BOUND_BITS are checked
-    before any work.
+    first count is m + sum_{k >= 1} f_k(p) C(m + 1, k + 1).  The second is
+    _increasing_tuples(p, m), 0 when m! > p: m increasing digits have product
+    at least m!, so its recursion goes no deeper than the m with
+    m * m! <= p * m <= COUNT_MAX_PM, m <= 10.  The fixed caps COUNT_MAX_PM
+    and COUNT_MAX_BOUND_BITS are checked before any work.
     """
     check_count(p, 1, "product cap p")
     check_count(m, 1, "length m")
@@ -737,23 +748,8 @@ def count_bounded_products(p: int, m: int, increasing: bool = False) -> CountRep
         )
 
     fact = math.factorial(m) if increasing else 1
-    if increasing and fact <= p:
-        # a k-digit prefix, k < m - 1, descends into child d while its cheapest completion
-        # d (d+1) ... (d+m-k-1) stays within p; an (m-1)-digit node counts p // prod - last
-        def children(node):
-            prefix, prod, _, _ = node
-            k, d = len(prefix), prefix[-1] if prefix else 0
-            while k < m - 1 and prod * math.prod(range(d + 1, d + 1 + m - k)) <= p:
-                d += 1
-            return range(prefix[-1] + 1 if prefix else 1, d + 1)
-
-        count = sum(
-            p // prod - (prefix[-1] if prefix else 0)
-            for prefix, prod, _, _ in walk_prefixes(children)
-            if len(prefix) == m - 1
-        )
-    elif increasing:
-        count = 0  # m increasing digits have product at least m!
+    if increasing:
+        count = _increasing_tuples(p, m)
     else:
         count = m + sum(
             f * math.comb(m + 1, k + 1) for k, f in enumerate(_tuples_above_one(p, m), 1)
@@ -773,14 +769,20 @@ def count_bounded_products(p: int, m: int, increasing: bool = False) -> CountRep
 
 
 def factorial_bounds_check(n: int) -> bool:
-    """Certify n^n / e^(n-1) <= n! <= n^(n+1) / e^(n-1) in exact arithmetic."""
+    """Certify n^n / e^(n-1) <= n! <= n^(n+1) / e^(n-1) in exact arithmetic.
+
+    With e in [a/b, c/d], n! e^(n-1) lies in [n! a^(n-1)/b^(n-1), n! c^(n-1)/d^(n-1)],
+    so each side is decided by cross-multiplying ints.
+    """
     fact = math.factorial(check_count(n, 1, "n"))
     lower, upper = n**n, n ** (n + 1)
 
     def verdict(terms):  # both sides certified true, or one certified false; else None
-        x = fact * exp_enclosure(1, terms).power(n - 1)
-        if lower > x.hi or x.lo > upper:
+        e = exp_enclosure(1, terms)
+        a, b = e.lo.numerator ** (n - 1), e.lo.denominator ** (n - 1)
+        c, d = e.hi.numerator ** (n - 1), e.hi.denominator ** (n - 1)
+        if lower * d > fact * c or fact * a > upper * b:
             return False
-        return True if lower <= x.lo and x.hi <= upper else None
+        return True if lower * b <= fact * a and fact * c <= upper * d else None
 
     return refine(verdict, lambda v: v is not None, f"the factorial bounds at n={n}")

@@ -3,8 +3,10 @@
 Inequalities against e^M, log p, or fractional powers must be decidable in
 exact arithmetic, so these helpers enclose each value between two rationals
 using truncated series with explicit remainder bounds.  Machine floats
-never enter.  Each decision tightens by one rule, ``refine``: SERIES_TERMS
-terms, doubled at most five times, then ResourceLimitError, never a guess.
+never enter.  Each series is summed by Horner's rule on plain ints, with
+one Fraction made per endpoint, so that no term pays a gcd.  Each decision
+tightens by one rule, ``refine``: SERIES_TERMS terms, doubled at most five
+times, then ResourceLimitError, never a guess.
 """
 
 from __future__ import annotations
@@ -87,29 +89,37 @@ def exp_enclosure(x, terms: int = SERIES_TERMS) -> Enclosure:
     while x > 1:
         x /= 2
         halvings += 1
-    total = Fraction(1)
-    term = Fraction(1)
-    for k in range(1, terms + 1):
-        term = term * x / k
-        total += term
-    # remainder: first omitted term * 1/(1 - x/(terms+2)), valid since x <= 1
-    remainder = term * x / (terms + 1) * Fraction(terms + 2, terms + 1)
-    enc = Enclosure(total, total + remainder)
-    for _ in range(halvings):
-        enc = enc * enc
-    return enc
+    # Horner's rule on ints, x = p/q: s_terms = 1, s_(k-1) = 1 + x s_k / k, so
+    # s_0 = num/den = sum_(k <= terms) x^k / k! with den = q^terms terms!
+    p, q = x.numerator, x.denominator
+    num = den = 1
+    for k in range(terms, 0, -1):
+        num, den = q * k * den + p * num, q * k * den
+    # remainder: first omitted term x^(terms+1)/(terms+1)! over 1 - x/(terms+2), valid
+    # since x <= 1; over den it is p^(terms+1) (terms+2) / (q (terms+1)^2)
+    scale = q * (terms + 1) ** 2
+    lo = Fraction(num, den)
+    hi = Fraction(num * scale + p ** (terms + 1) * (terms + 2), den * scale)
+    for _ in range(halvings):  # the square of a reduced fraction is reduced: no gcd
+        lo, hi = lo**2, hi**2
+    return Enclosure(lo, hi)
 
 
 def _atanh_series(z: Rat, terms: int) -> Enclosure:
-    # 2 * sum z^(2j+1)/(2j+1), all terms positive, tail geometric in z^2
-    z2 = z * z
-    total = Fraction(0)
-    power = z
-    for j in range(terms):
-        total += power / (2 * j + 1)
-        power *= z2
-    tail = power / ((2 * terms + 1) * (1 - z2))
-    return Enclosure(2 * total, 2 * (total + tail))
+    # 2 * sum_(j < terms) z^(2j+1)/(2j+1), all terms positive, plus at most the
+    # geometric tail z^(2 terms+1) / ((2 terms+1)(1 - z^2)).  Horner's rule on ints,
+    # z = a/b: s_terms = 0, s_j = 1/(2j+1) + z^2 s_(j+1), and the sum is z s_0 with
+    # s_0 = num/den, den = b^(2 terms) odd, odd = 1 * 3 * ... * (2 terms - 1)
+    a, b = z.numerator, z.denominator
+    a2, b2 = a * a, b * b
+    num, den, odd = 0, 1, 1
+    for i in range(2 * terms - 1, 0, -2):
+        num, den, odd = b2 * den + i * a2 * num, i * b2 * den, i * odd
+    # the tail is z a^(2 terms) b^2 odd / (den c), c = (2 terms+1)(b^2 - a^2)
+    c = (2 * terms + 1) * (b2 - a2)
+    lo = Fraction(2 * a * num, b * den)
+    hi = Fraction(2 * a * (num * c + a2**terms * b2 * odd), b * den * c)
+    return Enclosure(lo, hi)
 
 
 @cache

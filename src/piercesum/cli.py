@@ -87,7 +87,7 @@ def _parse_point(text: str):
 
 # ---------------------------------------------------------------------------
 # commands -> payload dicts: scalars plus optional "rows", an iterable of
-# flat dicts whose values are already rendered by _fmt or _ratio
+# flat dicts whose values are already rendered as _fmt renders them
 # ---------------------------------------------------------------------------
 
 
@@ -125,26 +125,23 @@ def _cmd_jumps(args):
     }, EXIT_OK
 
 
-def _ratio(num: int, den: int) -> str:
-    """num/den in lowest terms, den > 0, rendered as _fmt renders a Fraction."""
-    g = gcd(num, den)
-    return f"{num // g}/{den // g}"
-
-
 def _graph_rows(order_max: int, digit_cap: int):
     # every order-n prefix with digits <= digit_cap, in lexicographic order:
-    # an order n-1 prefix of digits < digit_cap, then d = first .. digit_cap
+    # an order n-1 prefix of digits < digit_cap, then d = first .. digit_cap;
+    # phi and E* reduced as _fmt renders a Fraction
     for order in range(1, order_max + 1):
+        _, x0, y0 = core.child_numerators(order - 1, 0, 0, 0, 0)  # the order's constant terms
         for prefix in combinations(range(1, digit_cap), order - 1):
             head = "(" + "".join(f"{x}," for x in prefix)
-            node = core.digit_numerators(prefix)
+            p0, v0, e0 = core.digit_numerators(prefix)
             for d in range(prefix[-1] + 1 if prefix else 1, digit_cap + 1):
-                prod, v, e = core.child_numerators(order - 1, *node, d)
+                prod, v, e = p0 * d, v0 * d + x0, e0 * d + y0
+                g, h = gcd(v, prod), gcd(e, prod)
                 yield {
                     "sigma": f"{head}{d})",
                     "order": order,
-                    "phi": _ratio(v, prod),
-                    "estar": _ratio(e, prod),
+                    "phi": f"{v // g}/{prod // g}",
+                    "estar": f"{e // h}/{prod // h}",
                     "length": f"1/{prod * (d + 1)}",
                 }
 

@@ -9,6 +9,7 @@ so results come back as certified rational enclosures rather than floats.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -125,12 +126,29 @@ class Enclosure:
 
     def __str__(self):
         if self.is_exact:
-            return _frac_str(self.lo)
-        return f"[{_frac_str(self.lo)}, {_frac_str(self.hi)}]"
+            return _brief(self.lo, _frac_str)
+        return f"[{_brief(self.lo, _frac_str)}, {_brief(self.hi, _frac_str)}]"
+
+    def __repr__(self):
+        return f"Enclosure(lo={_brief(self.lo)}, hi={_brief(self.hi)})"
 
 
 def _frac_str(q: Rat) -> str:
     return f"{q.numerator}/{q.denominator}"
+
+
+def _brief(q: Rat, show=repr) -> str:
+    """show(q), or q's terms by bit length if one may be too long for str().
+
+    str() refuses an int of more than sys.get_int_max_str_digits() digits
+    (0: no limit, as on Python 3.10.0-3.10.6, which lack the function); an
+    int of at most 3 bits per allowed digit is within it.
+    """
+    limit = 3 * getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    num, den = q.numerator.bit_length(), q.denominator.bit_length()
+    if not limit or max(num, den) <= limit:
+        return show(q)
+    return f"Fraction(<{num}-bit int>, <{den}-bit int>)"
 
 
 @dataclass(frozen=True)
@@ -320,9 +338,9 @@ def walk_prefixes(children) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
     ``children(node)`` gives the digits below a yielded node in visiting
     order.  The walk is lazy, stepping a child only when it reaches it, so
     a rule may be unbounded; the stack is explicit, so depth is not limited
-    by the recursion limit.  Callers: the product-bounded trees of
-    ``analysis.box_count_sweep`` and ``analysis.count_bounded_products``,
-    and ``analysis.ivt_root``'s bracketing cylinders.
+    by the recursion limit.  Callers: the product-bounded tree of
+    ``analysis.box_count_sweep`` and ``analysis.ivt_root``'s bracketing
+    cylinders.
     """
     root = ((), 1, 0, 0)
     yield root

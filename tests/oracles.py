@@ -26,7 +26,7 @@ from piercesum import PierceSeq, constant_stream, esum, estar_digits, evaluate_d
 from piercesum import hat_prime, shift_power
 from piercesum.core import check_count, child_numerators
 from piercesum.intervals import interval_length
-from piercesum.sequences import as_sequence
+from piercesum.sequences import as_sequence, walk_prefixes
 
 
 def random_unit_rationals(count, seed=20260809):
@@ -250,3 +250,71 @@ def grid_total_per_point(grid: int) -> int:
         g = math.gcd(k, grid)
         total += esum_floor_scaled(k // g, grid // g, GRID_SCALE)
     return total
+
+
+def exp_enclosure_oracle(x, terms):
+    # certify.exp_enclosure one Fraction term at a time: halve x into [0, 1], sum
+    # x^k / k! for k <= terms, bound the rest by the first omitted term over
+    # 1 - x/(terms+2), square once per halving; negative x through the reciprocal
+    x = F(x)
+    if x < 0:
+        return exp_enclosure_oracle(-x, terms).reciprocal()
+    halvings = 0
+    while x > 1:
+        x /= 2
+        halvings += 1
+    total = term = F(1)
+    for k in range(1, terms + 1):
+        term = term * x / k
+        total += term
+    remainder = term * x / (terms + 1) * F(terms + 2, terms + 1)
+    enc = Enclosure(total, total + remainder)
+    for _ in range(halvings):
+        enc = enc * enc
+    return enc
+
+
+def atanh_series_oracle(z, terms):
+    # certify._atanh_series one Fraction term at a time: 2 sum_(j < terms) z^(2j+1)/(2j+1),
+    # the tail bounded by z^(2 terms+1) / ((2 terms+1)(1 - z^2))
+    z2 = z * z
+    total, power = F(0), z
+    for j in range(terms):
+        total += power / (2 * j + 1)
+        power *= z2
+    tail = power / ((2 * terms + 1) * (1 - z2))
+    return Enclosure(2 * total, 2 * (total + tail))
+
+
+def log_enclosure_oracle(x, terms):
+    # log x = m log 2 + log(x / 2^m), 1 <= x / 2^m < 2, each log as 2 atanh((y - 1)/(y + 1))
+    x = F(x)
+    if x < 1:
+        return -log_enclosure_oracle(1 / x, terms)
+    m = 0
+    while x >= 2:
+        x /= 2
+        m += 1
+    return m * atanh_series_oracle(F(1, 3), terms) + atanh_series_oracle((x - 1) / (x + 1), terms)
+
+
+def increasing_product_count_oracle(p, m):
+    # strictly increasing sequences of m positive digits with product <= p, by walking
+    # every (m-1)-digit prefix: a k-digit prefix, k < m - 1, descends into child d while
+    # its cheapest completion d (d+1) ... (d+m-k-1) stays within p, and an (m-1)-digit
+    # node counts its last digits last+1 .. p // prod
+    if math.factorial(m) > p:
+        return 0
+
+    def children(node):
+        prefix, prod, _, _ = node
+        k, d = len(prefix), prefix[-1] if prefix else 0
+        while k < m - 1 and prod * math.prod(range(d + 1, d + 1 + m - k)) <= p:
+            d += 1
+        return range(prefix[-1] + 1 if prefix else 1, d + 1)
+
+    return sum(
+        p // prod - (prefix[-1] if prefix else 0)
+        for prefix, prod, _, _ in walk_prefixes(children)
+        if len(prefix) == m - 1
+    )

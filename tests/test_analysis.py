@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -39,6 +40,7 @@ from piercesum.certify import exp_enclosure, iroot, root_enclosure
 
 from oracles import cylinder_extrema_oracle, esum_floor_scaled, fundamental_interval_oracle
 from oracles import GRID_SCALE, bounded_product_count_oracle, grid_total_per_point, ivt_triples
+from oracles import atanh_series_oracle, exp_enclosure_oracle, increasing_product_count_oracle
 
 
 #: every small grid; powers of two, highly composite grids and primes;
@@ -774,16 +776,19 @@ class TestCountBoundedProducts:
         def refuse(*args):
             raise AssertionError("count or bound work started above the fixed caps")
 
-        for name in ("walk_prefixes", "log_enclosure", "_tuples_above_one"):
+        for name in ("walk_prefixes", "log_enclosure", "_tuples_above_one", "_increasing_tuples"):
             monkeypatch.setattr(analysis, name, refuse)
         with pytest.raises(ResourceLimitError):
             count_bounded_products(p, m, increasing)
 
     @pytest.mark.parametrize(
-        "p,m,increasing", [(10**4, 2000, False), (10**6, 100, False), (10**6, 100, True)]
+        "p,m,increasing",
+        [(10**4, 2000, False), (10**6, 100, False), (10**6, 100, True),
+         (2 * 10**7, 5, True), (16_666_666, 6, True)],
     )
     def test_accepted_inputs_answer_quickly(self, p, m, increasing):
-        # the length-by-length loop took 4.5-6.7 s at (10^4, 2000), the closed form 0.05 s
+        # the length-by-length loop took 4.5-6.7 s at (10^4, 2000), the closed form 0.05 s;
+        # the prefix walk of the increasing count took 1.0-2.8 s at the last two
         start = time.process_time()
         assert count_bounded_products(p, m, increasing).within_bound()
         assert time.process_time() - start < 1
@@ -793,6 +798,12 @@ class TestCountBoundedProducts:
         # m runs past log2 p, where the closed form has no more terms than log2 p
         for m in [*range(1, 12), 20, 40]:
             assert count_bounded_products(p, m).count == bounded_product_count_oracle(p, m)
+
+    def test_increasing_count_matches_the_prefix_walk(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            p, m = rng.randint(1, 5000), rng.randint(1, 7)
+            assert count_bounded_products(p, m, True).count == increasing_product_count_oracle(p, m)
 
     def test_increasing_count_is_zero_below_m_factorial(self):
         # 1, 2, ..., m is the one increasing sequence of product m!
@@ -837,11 +848,50 @@ def test_decisions_tighten_from_a_low_first_term_count(monkeypatch):
     assert all(factorial_bounds_check(n) is True for n in range(1, 51))
 
 
+def test_analyses_equal_on_the_term_by_term_series(monkeypatch):
+    # certify's series swapped for the per-term Fraction sums: every report
+    # equals the default route's, field by field
+    def reports():
+        return [
+            lambda_cover_counts(9),
+            count_bounded_products(10**4, 6),
+            count_bounded_products(10**4, 6, increasing=True),
+            [factorial_bounds_check(n) for n in range(1, 81)],
+        ]
+
+    fast = reports()
+    monkeypatch.setattr(analysis, "exp_enclosure", exp_enclosure_oracle)
+    monkeypatch.setattr(certify, "_atanh_series", atanh_series_oracle)
+    certify._log2_enclosure.cache_clear()
+    try:
+        slow = reports()
+    finally:
+        certify._log2_enclosure.cache_clear()
+    for a, b in zip(fast[:3], slow):
+        assert type(a) is type(b)
+        for field in dataclasses.fields(a):
+            assert getattr(a, field.name) == getattr(b, field.name), field.name
+    assert fast[3] == slow[3]
+
+
 class TestFactorialBounds:
     def test_small_cases(self):
         assert factorial_bounds_check(1)
         assert factorial_bounds_check(5)
         assert factorial_bounds_check(20)
+
+    @pytest.mark.parametrize("n", [3, 4, 10])
+    def test_verdicts_on_pinned_enclosures(self, n, monkeypatch):
+        # e pinned to 2 puts n! e^(n-1) below n^n, to 4 above n^(n+1),
+        # and [2, 4] leaves both sides undecided at every attempt
+        fact = math.factorial(n)
+        for e in (2, 4):
+            monkeypatch.setattr(analysis, "exp_enclosure", lambda x, terms: Enclosure.exact(F(e)))
+            assert not n**n <= fact * e ** (n - 1) <= n ** (n + 1)
+            assert factorial_bounds_check(n) is False
+        monkeypatch.setattr(analysis, "exp_enclosure", lambda x, terms: Enclosure(F(2), F(4)))
+        with pytest.raises(ResourceLimitError, match=f"factorial bounds at n={n}"):
+            factorial_bounds_check(n)
 
     def test_oracle_n_five(self):
         # 5^5/e^4 = 57.2... <= 120 <= 5^6/e^4 = 286.2...

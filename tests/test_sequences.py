@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from piercesum import (
     DomainError,
     Enclosure,
     PierceSeq,
+    estar,
     expand,
     hat,
     hat_prime,
@@ -301,6 +303,39 @@ class TestEnclosure:
         assert str(Enclosure(F(1, 3), F(1, 2))) == "[1/3, 1/2]"
         assert str(Enclosure(2, F(5, 2))) == "[2/1, 5/2]"
         assert str(Enclosure.exact(F(1, 3))) == "1/3"
+
+    def test_repr_within_the_int_str_limit(self):
+        assert repr(Enclosure(F(1, 3), 2)) == "Enclosure(lo=Fraction(1, 3), hi=2)"
+        assert repr(Enclosure.exact(F(-5, 2))) == (
+            "Enclosure(lo=Fraction(-5, 2), hi=Fraction(-5, 2))"
+        )
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int->str limit"
+    )
+    def test_text_past_the_int_str_limit(self):
+        # E* of the stream at depth 2000 has terms of about 19,000 bits, past str()'s
+        # default 4300 digits; str and repr show them by bit length
+        enc = estar(stream_seq(), 2000)
+        bits = (enc.lo.numerator.bit_length(), enc.lo.denominator.bit_length())
+        shown = f"Fraction(<{bits[0]}-bit int>, <{bits[1]}-bit int>)"
+        assert str(enc).startswith(f"[{shown}, Fraction(<") and str(enc).endswith("-bit int>)]")
+        assert repr(enc).startswith(f"Enclosure(lo={shown}, hi=Fraction(<")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int->str limit")
+    def test_text_follows_a_lowered_int_str_limit(self):
+        # 640 digits, the least limit allowed, admits ints of up to 3 * 640 bits
+        small, big = F(2**1919 + 1, 2), F(1, 2**1920)
+        enc = Enclosure(small, small + 1)
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert str(enc) == f"[{2**1919 + 1}/2, {2**1919 + 3}/2]"
+            shown = "Fraction(<1-bit int>, <1921-bit int>)"
+            assert str(Enclosure.exact(big)) == shown
+            assert repr(Enclosure(big, 1)) == f"Enclosure(lo={shown}, hi=1)"
+        finally:
+            sys.set_int_max_str_digits(before)
 
     def test_round_outward(self):
         enc = Enclosure(F(1, 3), F(2, 3)).round_outward(100)
